@@ -4,8 +4,9 @@ kinetic-energy operators with position-dependent mass.
 The ordering algebra (weights, exponents, linear ambiguity parameters)
 is exact rational arithmetic throughout; square roots arising from
 inversion are kept as exact quadratic surds. The numerical side builds
-dense 1D finite-difference operators to verify operator identities by
-convergence order and to compare spectra across orderings.
+banded 1D finite-difference operators (tridiagonal or pentadiagonal,
+stored as their diagonals) to verify operator identities by convergence
+order and to compare spectra across orderings.
 """
 
 from . import errors
@@ -59,7 +60,6 @@ from .profiles import (
     smoothed_step,
 )
 from .spectra import (
-    MAX_DENSE_N,
     POTENTIALS,
     DualPairReport,
     PotentialProfile,
@@ -87,7 +87,6 @@ __all__ = [
     "DualityParams",
     "Grid",
     "LinearParams",
-    "MAX_DENSE_N",
     "MassProfile",
     "OrderingSpec",
     "POTENTIALS",

@@ -15,6 +15,11 @@ Both pathways support a 'central' scheme (pure central-difference
 composition, exactly antisymmetric momentum, used by the oracle) and a
 'staggered' scheme (three-point divergence form with half-grid mass
 sampling, free of odd-even decoupling, used for spectra).
+
+Every operator is banded, pentadiagonal under the central scheme and
+tridiagonal under the staggered one, and is assembled, added and applied
+as its diagonals in O(n). `AssembledOperator.matrix` is the one dense
+form, built on demand for export and for tests.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ from .ordering import LinearParams, OrderingSpec, check, weighted_mean
 from .profiles import MassProfile
 
 SCHEMES = ("central", "staggered")
+# half-bandwidth of each scheme's operator: D diag(b) D spans two
+# neighbours on each side, the three-point divergence form one
+_HALF_BANDWIDTH = {"central": 2, "staggered": 1}
 
 
 @dataclass(frozen=True)
@@ -65,26 +73,90 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class AssembledOperator:
-    """Dense matrix representation of a kinetic (or full) operator."""
+    """A kinetic (or full) operator stored by its diagonals.
 
-    matrix: np.ndarray
+    `bands` is scipy's banded layout: shape (2l+1, n) with
+    `bands[l + i - j, j] == A[i, j]`, where the half-bandwidth l is 1 for
+    the staggered scheme (tridiagonal) and 2 for the central one
+    (pentadiagonal). The cells of `bands` that fall outside the n x n
+    matrix stand for the entries outside the band: every operation treats
+    them like any other entry, so they hold the signed zero that dense
+    arithmetic leaves there, and `matrix` writes that value off the band.
+    """
+
+    bands: np.ndarray
     grid: Grid
     hbar: float
     provenance: dict = field(default_factory=dict)
 
+    @property
+    def bandwidth(self) -> int:
+        """Half-bandwidth l: A[i, j] == 0 whenever |i - j| > l."""
+        return (self.bands.shape[0] - 1) // 2
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n matrix, built on each access (the export form)."""
+        return _dense(self.bands)
+
+    def widened(self, half: int) -> np.ndarray:
+        """`bands` padded with off-band entries to half-bandwidth `half`."""
+        pad = half - self.bandwidth
+        if pad == 0:
+            return self.bands
+        out = np.full((2 * half + 1, self.grid.n), self.bands[0, 0])
+        out[pad:pad + self.bands.shape[0]] = self.bands
+        return out
+
     def applied_to(self, psi: np.ndarray) -> np.ndarray:
-        return self.matrix @ psi
+        """Banded matrix-vector product A @ psi (psi of shape (n,) or (n, m))."""
+        psi = np.asarray(psi)
+        half, n = self.bandwidth, self.grid.n
+        cols = self.bands.reshape(self.bands.shape + (1,) * (psi.ndim - 1))
+        out = np.zeros(psi.shape, dtype=np.result_type(self.bands, psi))
+        for r in range(2 * half + 1):
+            k = half - r  # column minus row on this diagonal
+            lo, hi = max(0, -k), min(n, n - k)
+            out[lo:hi] += cols[r, lo + k:hi + k] * psi[lo + k:hi + k]
+        return out
+
+
+def _dense(bands: np.ndarray) -> np.ndarray:
+    width, n = bands.shape
+    half = width // 2
+    dense = np.full((n, n), bands[0, 0])
+    for r in range(width):
+        k = half - r
+        i = np.arange(max(0, -k), min(n, n - k))
+        dense[i, i + k] = bands[r, i + k]
+    return dense
+
+
+def _row_values(a: np.ndarray, half: int) -> np.ndarray:
+    """(2*half+1, n) view whose band cell [r, j] holds a[i] for its row
+    i = j + r - half; cells outside the matrix hold 1.0."""
+    padded = np.concatenate((np.ones(half), a, np.ones(half)))
+    return np.lib.stride_tricks.sliding_window_view(padded, a.size)
+
+
+def _diagonal_bands(v: np.ndarray, half: int) -> np.ndarray:
+    """Bands of diag(v) at half-bandwidth `half`."""
+    bands = np.zeros((2 * half + 1, v.size), dtype=v.dtype)
+    bands[half] = v
+    return bands
+
+
+def _derivative_bands(n: int, h: float, half: int) -> np.ndarray:
+    bands = np.zeros((2 * half + 1, n))
+    bands[half - 1, 1:] = 1.0 / (2 * h)
+    bands[half + 1, :-1] = -1.0 / (2 * h)
+    return bands
 
 
 def derivative_matrix(grid: Grid) -> np.ndarray:
     """Central-difference first derivative, exactly antisymmetric under
     Dirichlet truncation (momentum is -i*hbar times this)."""
-    n, h = grid.n, grid.h
-    d = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    d[idx, idx + 1] = 1.0 / (2 * h)
-    d[idx + 1, idx] = -1.0 / (2 * h)
-    return d
+    return _dense(_derivative_bands(grid.n, grid.h, 1))
 
 
 def _inverse_mass_at(profile: MassProfile, x: np.ndarray) -> np.ndarray:
@@ -105,36 +177,29 @@ def _mass_power(u: np.ndarray, s) -> np.ndarray:
 
 
 def _central_core(b: np.ndarray, h: float) -> np.ndarray:
-    """D diag(b) D as a pentadiagonal matrix (exact banded product)."""
+    """D diag(b) D as the five bands of a pentadiagonal matrix."""
     n = b.size
-    x = np.zeros((n, n))
     w = 1.0 / (4 * h * h)
-    i = np.arange(n)
     diag = np.zeros(n)
     diag[1:] += b[:-1]
     diag[:-1] += b[1:]
-    x[i, i] = -w * diag
-    j = np.arange(n - 2)
-    x[j, j + 2] = w * b[j + 1]
-    x[j + 2, j] = w * b[j + 1]
-    return x
+    bands = np.zeros((5, n))
+    bands[2] = -w * diag
+    bands[0, 2:] = w * b[1:-1]
+    bands[4, :-2] = w * b[1:-1]
+    return bands
 
 
 def _staggered_core(b_mid: np.ndarray, h: float) -> np.ndarray:
-    """-G^T diag(b_mid) G: the three-point divergence form of d/dx b d/dx."""
+    """-G^T diag(b_mid) G, the three-point divergence form of d/dx b d/dx,
+    as the three bands of a tridiagonal matrix."""
     n = b_mid.size - 1
-    x = np.zeros((n, n))
     w = 1.0 / (h * h)
-    i = np.arange(n)
-    x[i, i] = -w * (b_mid[:-1] + b_mid[1:])
-    j = np.arange(n - 1)
-    x[j, j + 1] = w * b_mid[1:-1]
-    x[j + 1, j] = w * b_mid[1:-1]
-    return x
-
-
-def _scaled(a: np.ndarray, core: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return a[:, None] * core * c[None, :]
+    bands = np.zeros((3, n))
+    bands[1] = -w * (b_mid[:-1] + b_mid[1:])
+    bands[0, 1:] = w * b_mid[1:-1]
+    bands[2, :-1] = w * b_mid[1:-1]
+    return bands
 
 
 def assemble_terms(
@@ -144,26 +209,29 @@ def assemble_terms(
     hbar: float = 1.0,
     scheme: str = "central",
 ) -> AssembledOperator:
-    """Term-by-term matrix composition of a weighted multi-term ordering."""
+    """Term-by-term banded composition of a weighted multi-term ordering:
+    each term m^a p m^b p m^c contributes diag(m^a) core(m^b) diag(m^c)."""
     check(spec)
     _require_scheme(scheme)
     x = grid.points
     u = _inverse_mass_at(profile, x)
     if scheme == "staggered":
         u_mid = _inverse_mass_at(profile, grid.midpoints)
-    total = np.zeros((grid.n, grid.n))
+    half = _HALF_BANDWIDTH[scheme]
+    total = np.zeros((2 * half + 1, grid.n))
     for t in spec.terms:
-        a = _mass_power(u, t.alpha)
+        a = _row_values(_mass_power(u, t.alpha), half)
         c = _mass_power(u, t.gamma)
         if scheme == "central":
             core = _central_core(_mass_power(u, t.beta), grid.h)
         else:
             core = _staggered_core(_mass_power(u_mid, t.beta), grid.h)
-        total += float(t.w) * _scaled(a, core, c)
-    matrix = -(hbar**2 / 2.0) * total
+        # entrywise a[i] * core[i, j] * c[j], in the dense product's order
+        total += float(t.w) * (a * core * c)
+    bands = -(hbar**2 / 2.0) * total
     eta = weighted_mean(spec, "gamma") - weighted_mean(spec, "alpha")
     if eta != 0:
-        matrix = matrix.astype(complex)
+        bands = bands.astype(complex)
     prov = {
         "pathway": "terms",
         "scheme": scheme,
@@ -172,7 +240,7 @@ def assemble_terms(
         "profile": profile.name,
         "eta": str(eta),
     }
-    return AssembledOperator(matrix, grid, float(hbar), prov)
+    return AssembledOperator(bands, grid, float(hbar), prov)
 
 
 def effective_potential(
@@ -206,14 +274,15 @@ def assemble_linear(
         kinetic = -(hbar**2 / 2.0) * _staggered_core(
             _inverse_mass_at(profile, grid.midpoints), grid.h
         )
-    matrix = kinetic + np.diag(effective_potential(params, profile, x, hbar))
+    half = _HALF_BANDWIDTH[scheme]
+    bands = kinetic + _diagonal_bands(effective_potential(params, profile, x, hbar), half)
     if params.eta != 0:
         # first-order term eta (i hbar / 2) (1/m)' p in position representation
-        du = np.asarray(profile.d_inv_m(x), dtype=float)
-        matrix = matrix + float(params.eta) * (hbar**2 / 2.0) * (
-            du[:, None] * derivative_matrix(grid)
+        du = _row_values(np.asarray(profile.d_inv_m(x), dtype=float), half)
+        bands = bands + float(params.eta) * (hbar**2 / 2.0) * (
+            du * _derivative_bands(grid.n, grid.h, half)
         )
-        matrix = matrix.astype(complex)
+        bands = bands.astype(complex)
     prov = {
         "pathway": "linear",
         "scheme": scheme,
@@ -221,7 +290,7 @@ def assemble_linear(
         "profile": profile.name,
         "eta": str(params.eta),
     }
-    return AssembledOperator(matrix, grid, float(hbar), prov)
+    return AssembledOperator(bands, grid, float(hbar), prov)
 
 
 def _require_scheme(scheme: str) -> None:
@@ -246,7 +315,7 @@ def equivalence_defect(
     norm = np.linalg.norm(psi)
     if norm == 0:
         raise ValueError("test function vanishes identically on the grid")
-    return float(np.linalg.norm(a.matrix @ psi - b.matrix @ psi) / norm)
+    return float(np.linalg.norm(a.applied_to(psi) - b.applied_to(psi)) / norm)
 
 
 def _format_value(v) -> str:
@@ -264,14 +333,15 @@ def to_csv(op: AssembledOperator) -> str:
 
 
 def to_json_dict(op: AssembledOperator) -> dict:
-    """JSON envelope {grid, hbar, provenance, matrix}."""
-    if np.iscomplexobj(op.matrix):
+    """JSON envelope {grid, hbar, provenance, matrix}, the matrix dense."""
+    dense = op.matrix
+    if np.iscomplexobj(dense):
         matrix = {
-            "real": op.matrix.real.tolist(),
-            "imag": op.matrix.imag.tolist(),
+            "real": dense.real.tolist(),
+            "imag": dense.imag.tolist(),
         }
     else:
-        matrix = op.matrix.tolist()
+        matrix = dense.tolist()
     return {
         "grid": {
             "x_min": op.grid.x_min,

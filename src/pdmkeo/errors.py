@@ -109,7 +109,3 @@ class NotSymmetric(KeoError):
         super().__init__(
             f"matrix is not symmetric (max |A - A^T| = {max_asymmetry:.3e})"
         )
-
-
-class GridTooLarge(KeoError):
-    """Dense eigendecomposition requested beyond the supported size."""

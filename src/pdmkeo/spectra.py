@@ -1,8 +1,9 @@
 """Bound-state spectra of H = T + V and cross-ordering comparisons.
 
 Spectra default to the staggered kinetic scheme (no odd-even grid
-decoupling). Dual-pair spectra are computed and reported side by side
-without asserting equality.
+decoupling). H stays banded, and `solve` finds its lowest eigenvalues
+with a banded symmetric eigensolver. Dual-pair spectra are computed and
+reported side by side without asserting equality.
 """
 
 from __future__ import annotations
@@ -12,14 +13,11 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .classify import DualityParams, from_duality, invert
-from .discretize import AssembledOperator, Grid, assemble_terms
-from .errors import GridMismatch, GridTooLarge, KeoError, NotSymmetric
+from .discretize import AssembledOperator, Grid, _diagonal_bands, assemble_terms
+from .errors import GridMismatch, KeoError, NotSymmetric
 from .profiles import MassProfile
-
-MAX_DENSE_N = 4000
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +67,13 @@ def make_potential(spec: str) -> PotentialProfile:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
-    """Lowest eigenvalues in ascending order plus solve metadata."""
+    """Lowest eigenvalues in ascending order plus solve metadata.
+
+    `residuals[i]` is ||H x - e x|| for e = `eigenvalues[i]` and the unit
+    vector x from two steps of inverse iteration with shift e. It is a
+    few rounding errors of max|H| exactly when e is an eigenvalue of H;
+    within a degenerate pair x is some vector of the shared eigenspace.
+    """
 
     eigenvalues: tuple[float, ...]
     count_requested: int
@@ -86,47 +90,84 @@ def hamiltonian(keo: AssembledOperator, potential) -> AssembledOperator:
             raise GridMismatch(
                 f"operator grids differ: {keo.grid} vs {potential.grid}"
             )
-        matrix = keo.matrix + potential.matrix
+        half = max(keo.bandwidth, potential.bandwidth)
+        bands = keo.widened(half) + potential.widened(half)
         v_name = potential.provenance.get("potential", "operator")
     else:
         v = np.asarray(potential.v(keo.grid.points), dtype=float)
         if not np.all(np.isfinite(v)):
             raise KeoError(f"potential {potential.name!r} is not finite on the grid")
-        matrix = keo.matrix + np.diag(v)
+        bands = keo.bands + _diagonal_bands(v, keo.bandwidth)
         v_name = potential.name
     prov = dict(keo.provenance)
     prov["potential"] = v_name
-    return AssembledOperator(matrix, keo.grid, keo.hbar, prov)
+    return AssembledOperator(bands, keo.grid, keo.hbar, prov)
+
+
+def _max_asymmetry(bands: np.ndarray, conj=lambda z: z) -> float:
+    """max |A[i, j] - conj(A[j, i])| over the band; entries off it are zero."""
+    half, n = (bands.shape[0] - 1) // 2, bands.shape[1]
+    return max(
+        float(np.max(np.abs(bands[half - k, k:] - conj(bands[half + k, :n - k]))))
+        for k in range(half + 1)
+    )
+
+
+def _inverse_iteration(bands: np.ndarray, shift: float, start: np.ndarray,
+                       nudge: float) -> np.ndarray:
+    """Unit vector from two steps of inverse iteration on the bands.
+
+    When the shift is an exact eigenvalue the shifted matrix can be exactly
+    singular; the shift then moves by `nudge`, doubled until it factors."""
+    from scipy.linalg import solve_banded
+
+    half = (bands.shape[0] - 1) // 2
+    while True:
+        shifted = bands.copy()
+        shifted[half] -= shift
+        try:
+            x = start
+            for _ in range(2):
+                x = solve_banded((half, half), shifted, x, check_finite=False)
+                x = x / np.linalg.norm(x)
+            return x
+        except np.linalg.LinAlgError:
+            shift, nudge = shift + nudge, 2 * nudge
 
 
 def solve(h: AssembledOperator, k: int) -> SpectrumResult:
-    """Lowest k eigenvalues of a symmetric dense operator."""
+    """Lowest k eigenvalues of a symmetric banded operator."""
+    # imported here: scipy.linalg is most of the package's import time, and
+    # only the eigensolve needs it
+    from scipy.linalg import eig_banded
+
     n = h.grid.n
-    if n > MAX_DENSE_N:
-        raise GridTooLarge(f"dense solve supports n <= {MAX_DENSE_N}, got {n}")
     if not 1 <= k <= n:
         raise KeoError(f"need 1 <= k <= n = {n}, got k = {k}")
-    matrix = h.matrix
-    if np.iscomplexobj(matrix):
-        if np.max(np.abs(matrix.imag)) > 0:
-            raise NotSymmetric(float(np.max(np.abs(matrix - matrix.T.conj()))))
-        matrix = matrix.real
-    scale = float(np.max(np.abs(matrix))) or 1.0
-    asym = float(np.max(np.abs(matrix - matrix.T)))
+    bands = h.bands
+    if np.iscomplexobj(bands):
+        if np.max(np.abs(bands.imag)) > 0:
+            raise NotSymmetric(_max_asymmetry(bands, np.conj))
+        bands = bands.real
+    scale = float(np.max(np.abs(bands))) or 1.0
+    asym = _max_asymmetry(bands)
     if asym > 1e-10 * scale:
         raise NotSymmetric(asym)
-    vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=(0, k - 1))
-    residuals = tuple(
-        float(np.linalg.norm(matrix @ vecs[:, i] - vals[i] * vecs[:, i])
-              / np.linalg.norm(vecs[:, i]))
-        for i in range(k)
-    )
+    # the lower triangle, as a dense symmetric solver reads it
+    vals = eig_banded(bands[h.bandwidth:], lower=True, eigvals_only=True,
+                      select="i", select_range=(0, k - 1))
+    start = np.random.default_rng(0).standard_normal(n)
+    nudge = np.finfo(float).eps * scale
+    residuals = []
+    for value in vals:
+        x = _inverse_iteration(bands, value, start, nudge)
+        residuals.append(float(np.linalg.norm(h.applied_to(x) - value * x)))
     return SpectrumResult(
         eigenvalues=tuple(float(v) for v in vals),
         count_requested=k,
         grid=h.grid,
         provenance=dict(h.provenance),
-        residuals=residuals,
+        residuals=tuple(residuals),
     )
 
 

@@ -191,3 +191,15 @@ def test_parse_error_diagnostic_includes_position():
     cp = run_cli("params", "--expr", "1/2 * p m^(-1 p")
     assert cp.returncode == 1
     assert "position" in cp.stderr
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg is most of the package's import time and only the
+    # eigensolve needs it; every other subcommand should not pay for it
+    cp = subprocess.run(
+        [sys.executable, "-c", "import sys, pdmkeo; print('scipy.linalg' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "False"

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from fractions import Fraction as F
 
-from pdmkeo.discretize import Grid, assemble_terms
-from pdmkeo.errors import DualOutsideAllowedRegion, GridMismatch, GridTooLarge, KeoError, NotSymmetric
-from pdmkeo.ordering import catalog, spec
-from pdmkeo.profiles import constant, lorentzian
+from pdmkeo.discretize import (
+    Grid,
+    assemble_linear,
+    assemble_terms,
+    derivative_matrix,
+    effective_potential,
+    equivalence_defect,
+)
+from pdmkeo.errors import DualOutsideAllowedRegion, GridMismatch, KeoError, NotSymmetric
+from pdmkeo.ordering import catalog, linear_params, spec
+from pdmkeo.profiles import constant, gaussian_bump, lorentzian
 from pdmkeo.spectra import (
     dual_pair_report,
     hamiltonian,
@@ -47,6 +55,13 @@ def test_hamiltonian_accepts_operator_addend():
     keo = assemble_terms(catalog("BDD"), constant(1), g)
     h = hamiltonian(keo, keo)
     assert np.array_equal(h.matrix, 2 * keo.matrix)
+    # a tridiagonal and a pentadiagonal operand add as their dense matrices
+    prof = lorentzian(m0=1, lam=1)
+    tri = assemble_terms(catalog("ZK"), prof, g, scheme="staggered")
+    penta = assemble_terms(catalog("YY"), prof, g, scheme="central")
+    for h in (hamiltonian(tri, penta), hamiltonian(penta, tri)):
+        assert h.bandwidth == 2
+        assert h.matrix.tobytes() == (tri.matrix + penta.matrix).tobytes()
 
 
 def test_infinite_well_spectrum():
@@ -81,18 +96,36 @@ def test_solve_rejects_asymmetric():
         solve(hamiltonian(op, zero_potential()), 2)
 
 
-def test_solve_rejects_bad_k_and_large_n():
+def box_eigenvalues(grid, scheme, m0, k):
+    """Exact lowest eigenvalues of the constant-mass, zero-potential
+    operator: the three-point Laplacian (staggered) or the square of the
+    central difference (central), with Dirichlet ends."""
+    j = np.arange(1, grid.n + 1)
+    theta = j * np.pi / (grid.n + 1)
+    if scheme == "staggered":
+        values = 2.0 * np.sin(theta / 2) ** 2 / (m0 * grid.h**2)
+    else:
+        values = np.cos(theta) ** 2 / (2.0 * m0 * grid.h**2)
+    return np.sort(values)[:k]
+
+
+def test_solve_rejects_bad_k_and_solves_large_n():
     g = Grid(-1.0, 1.0, 10)
     h = hamiltonian(assemble_terms(catalog("BDD"), constant(1), g), zero_potential())
     with pytest.raises(KeoError):
         solve(h, 0)
     with pytest.raises(KeoError):
         solve(h, 11)
+    # no size cap: n = 4001 solves in banded form for both schemes
     big = Grid(-1.0, 1.0, 4001)
-    fake = hamiltonian(assemble_terms(catalog("BDD"), constant(1), g), zero_potential())
-    object.__setattr__(fake, "grid", big)
-    with pytest.raises(GridTooLarge):
-        solve(fake, 1)
+    for scheme in ("staggered", "central"):
+        h = hamiltonian(assemble_terms(catalog("BDD"), constant(2), big, scheme=scheme),
+                        zero_potential())
+        res = solve(h, 5)
+        scale = np.max(np.abs(h.bands))
+        exact = box_eigenvalues(big, scheme, 2.0, 5)
+        assert np.max(np.abs(np.array(res.eigenvalues) - exact)) <= 1e-11 * scale, scheme
+        assert max(res.residuals) <= 1e-9 * scale, scheme
 
 
 def test_grid_refinement_ratio_for_eigenvalues():
@@ -170,3 +203,174 @@ def test_make_potential():
     assert p.v(1.5) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         make_potential("coulomb")
+
+
+# ---------------------------------------------------------------- dense oracle
+#
+# The dense n x n construction the banded operators replaced, kept as the
+# reference: banded assembly must reproduce it bit for bit, and the banded
+# eigensolver must agree with a dense one on it.
+
+ORACLE_SPECS = [catalog(name) for name in (
+    "BDD", "GW", "ZK", "MM", "W", "LK", "Lal", "YY",
+    "vR(-1/4,-1/2)", "MB(-1/3)", "LKDA(-1/3)", "DA(-1/2)", "DA(1)",
+)] + [
+    spec([(1, -1, 0, 0)]),  # eta = 1: complex, refused by solve
+    # Hermitian but not mirrored: discretely asymmetric, refused by solve
+    spec([(F(1, 2), F(-3, 4), F(-1, 4), 0), (F(1, 4), 0, F(-1, 2), F(-1, 2)),
+          (F(1, 4), 0, 0, -1)]),
+]
+
+
+def _dense_mass_power(u, s):
+    return np.ones_like(u) if float(s) == 0.0 else u ** (-float(s))
+
+
+def _dense_central_core(b, h):
+    n = b.size
+    x = np.zeros((n, n))
+    w = 1.0 / (4 * h * h)
+    i = np.arange(n)
+    diag = np.zeros(n)
+    diag[1:] += b[:-1]
+    diag[:-1] += b[1:]
+    x[i, i] = -w * diag
+    j = np.arange(n - 2)
+    x[j, j + 2] = w * b[j + 1]
+    x[j + 2, j] = w * b[j + 1]
+    return x
+
+
+def _dense_staggered_core(b_mid, h):
+    n = b_mid.size - 1
+    x = np.zeros((n, n))
+    w = 1.0 / (h * h)
+    i = np.arange(n)
+    x[i, i] = -w * (b_mid[:-1] + b_mid[1:])
+    j = np.arange(n - 1)
+    x[j, j + 1] = w * b_mid[1:-1]
+    x[j + 1, j] = w * b_mid[1:-1]
+    return x
+
+
+def _dense_core(b_at, grid, scheme):
+    if scheme == "central":
+        return _dense_central_core(b_at(grid.points), grid.h)
+    return _dense_staggered_core(b_at(grid.midpoints), grid.h)
+
+
+def dense_terms(s, profile, grid, scheme, hbar=1.0):
+    total = np.zeros((grid.n, grid.n))
+    u = profile.inv_m(grid.points)
+    for t in s.terms:
+        a = _dense_mass_power(u, t.alpha)
+        c = _dense_mass_power(u, t.gamma)
+        core = _dense_core(lambda x: _dense_mass_power(profile.inv_m(x), t.beta), grid, scheme)
+        total += float(t.w) * (a[:, None] * core * c[None, :])
+    matrix = -(hbar**2 / 2.0) * total
+    return matrix.astype(complex) if linear_params(s).eta != 0 else matrix
+
+
+def dense_linear(params, profile, grid, scheme, hbar=1.0):
+    x = grid.points
+    matrix = -(hbar**2 / 2.0) * _dense_core(profile.inv_m, grid, scheme)
+    matrix = matrix + np.diag(effective_potential(params, profile, x, hbar))
+    if params.eta != 0:
+        du = profile.d_inv_m(x)
+        matrix = matrix + float(params.eta) * (hbar**2 / 2.0) * (
+            du[:, None] * derivative_matrix(grid)
+        )
+        matrix = matrix.astype(complex)
+    return matrix
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["central", "staggered"])
+@pytest.mark.parametrize("profile", [
+    lorentzian(m0=1, lam=1), gaussian_bump(m0=1, lam=1, sigma=F(1, 4)),
+], ids=["lorentzian", "gaussian_bump"])
+def test_banded_operators_match_dense_oracle(scheme, profile):
+    g = Grid(-1.0, 1.0, 300)
+    psi = np.random.default_rng(1).standard_normal(g.n)
+    v = harmonic(k=2)
+    for s in ORACLE_SPECS:
+        keo = assemble_terms(s, profile, g, scheme=scheme)
+        lin = assemble_linear(linear_params(s), profile, g, scheme=scheme)
+        assert _same_bits(keo.matrix, dense_terms(s, profile, g, scheme)), s
+        assert _same_bits(lin.matrix, dense_linear(linear_params(s), profile, g, scheme)), s
+        for op in (keo, lin):
+            dense = op.matrix
+            atol = 1e-13 * np.max(np.abs(dense))
+            assert np.allclose(op.applied_to(psi), dense @ psi, rtol=0, atol=atol), s
+
+        h = hamiltonian(keo, v)
+        dense = h.matrix
+        assert _same_bits(dense, keo.matrix + np.diag(v.v(g.points))), s
+        scale = np.max(np.abs(dense.real))
+        refused = (np.max(np.abs(dense.imag)) > 0
+                   or np.max(np.abs(dense.real - dense.real.T)) > 1e-10 * scale)
+        if refused:
+            with pytest.raises(NotSymmetric):
+                solve(h, 5)
+            continue
+        expected = scipy.linalg.eigh(dense.real, eigvals_only=True, subset_by_index=(0, 4))
+        got = np.array(solve(h, 5).eigenvalues)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * scale, s
+
+
+def test_inverse_iteration_survives_exact_eigenvalues(monkeypatch):
+    singular = []
+    solve_banded = scipy.linalg.solve_banded
+
+    def counting(*args, **kwargs):
+        try:
+            return solve_banded(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            singular.append(args[0])
+            raise
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", counting)
+    # central odd-even decoupling gives exactly degenerate pairs
+    g = Grid(-1.0, 1.0, 500)
+    h = hamiltonian(assemble_terms(catalog("YY"), lorentzian(m0=1, lam=1), g, scheme="central"),
+                    zero_potential())
+    res = solve(h, 6)
+    assert res.eigenvalues[0] == res.eigenvalues[1]
+    assert max(res.residuals) <= 1e-9 * np.max(np.abs(h.bands))
+    # a constant mass on odd n has the eigenvalue 0, and with hbar = 0 every
+    # eigenvalue is a diagonal entry: the shifted matrices are exactly singular
+    cases = [
+        hamiltonian(assemble_terms(catalog("BDD"), constant(1), Grid(-1.0, 1.0, 101),
+                                   scheme="central"), zero_potential()),
+        hamiltonian(assemble_terms(catalog("BDD"), constant(1), Grid(-1.0, 1.0, 50),
+                                   hbar=0.0), harmonic()),
+    ]
+    for h in cases:
+        singular.clear()
+        res = solve(h, 4)
+        assert singular
+        assert max(res.residuals) <= 1e-9 * np.max(np.abs(h.bands))
+
+
+def test_no_dense_matrix_outside_the_export():
+    import tracemalloc
+
+    prof = lorentzian(m0=1, lam=1)
+    solve(hamiltonian(assemble_terms(catalog("YY"), prof, Grid(-1.0, 1.0, 20)),
+                      zero_potential()), 1)  # loads scipy.linalg outside the trace
+    g = Grid(-1.0, 1.0, 3000)
+    dense_bytes = g.n * g.n * 8
+    tracemalloc.start()
+    try:
+        for scheme in ("central", "staggered"):
+            keo = assemble_terms(catalog("YY"), prof, g, scheme=scheme)
+            assemble_linear(linear_params(catalog("YY")), prof, g, scheme=scheme)
+            solve(hamiltonian(keo, harmonic()), 5)
+        equivalence_defect(catalog("DA(-1/2)"), prof, g, lambda x: (1 - x**2) ** 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 10
