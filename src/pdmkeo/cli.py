@@ -240,9 +240,9 @@ def cmd_assemble(args):
         op = assemble_linear(linear_params(spec), profile, grid, hbar=args.hbar, scheme=args.scheme)
     else:
         op = assemble_terms(spec, profile, grid, hbar=args.hbar, scheme=args.scheme)
-    doc = to_json_dict(op)
-    csv_rows = [line.split(",") for line in to_csv(op).strip().split("\n")]
-    return doc, csv_rows
+    if args.format == "csv":
+        return None, [line.split(",") for line in to_csv(op).strip().split("\n")]
+    return to_json_dict(op), None
 
 
 def cmd_defect(args) -> dict:

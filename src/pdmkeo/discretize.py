@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonPositiveMass
-from .ordering import LinearParams, OrderingSpec, check, weighted_mean
+from .ordering import LinearParams, OrderingSpec, _mean, check
 from .profiles import MassProfile
 
 SCHEMES = ("central", "staggered")
@@ -229,7 +229,7 @@ def assemble_terms(
         # entrywise a[i] * core[i, j] * c[j], in the dense product's order
         total += float(t.w) * (a * core * c)
     bands = -(hbar**2 / 2.0) * total
-    eta = weighted_mean(spec, "gamma") - weighted_mean(spec, "alpha")
+    eta = _mean(spec, "gamma") - _mean(spec, "alpha")
     if eta != 0:
         bands = bands.astype(complex)
     prov = {

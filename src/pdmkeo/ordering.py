@@ -124,6 +124,11 @@ def weighted_mean(s: OrderingSpec, selector: str) -> Exact:
     if selector not in _SELECTORS:
         raise ValueError(f"selector must be one of {_SELECTORS}, got {selector!r}")
     check(s)
+    return _mean(s, selector)
+
+
+def _mean(s: OrderingSpec, selector: str) -> Exact:
+    """`weighted_mean` for a spec that has already passed `check`."""
     total = Fraction(0)
     for t in s.terms:
         if selector == "alpha":
@@ -138,15 +143,17 @@ def weighted_mean(s: OrderingSpec, selector: str) -> Exact:
 
 def linear_params(s: OrderingSpec) -> LinearParams:
     """Map an ordering to (xi, zeta, eta) = (mean gamma, mean alpha*gamma, mean gamma - mean alpha)."""
-    mg = weighted_mean(s, "gamma")
-    ma = weighted_mean(s, "alpha")
-    mag = weighted_mean(s, "alpha_gamma")
+    check(s)
+    mg = _mean(s, "gamma")
+    ma = _mean(s, "alpha")
+    mag = _mean(s, "alpha_gamma")
     return LinearParams(xi=mg, zeta=mag, eta=mg - ma)
 
 
 def is_hermitian(s: OrderingSpec) -> bool:
     """True iff mean alpha equals mean gamma exactly."""
-    return weighted_mean(s, "alpha") == weighted_mean(s, "gamma")
+    check(s)
+    return _mean(s, "alpha") == _mean(s, "gamma")
 
 
 def canonicalize(s: OrderingSpec) -> OrderingSpec:

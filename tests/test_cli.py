@@ -141,6 +141,20 @@ def test_assemble_linear_pathway_csv():
     assert float(rows[0][2]) == -0.125
 
 
+def test_assemble_builds_only_the_requested_format(monkeypatch, capsys):
+    from pdmkeo import cli
+
+    def unused(op):
+        raise AssertionError("built an output format that was not requested")
+
+    argv = ["assemble", "--name", "YY", "--profile", "lorentzian:m0=1,lam=1", "--n", "6"]
+    for fmt, skipped in (("csv", "to_json_dict"), ("json", "to_csv")):
+        with monkeypatch.context() as m:
+            m.setattr(cli, skipped, unused)
+            assert cli.main(argv + ["--format", fmt]) == 0
+        assert capsys.readouterr().out
+
+
 def test_defect_reports_ratio():
     cp = run_cli(
         "defect", "--name", "YY", "--profile", "cosine_bump:m0=1,lam=1",

@@ -209,3 +209,35 @@ def test_canonicalize_sorts_merges_and_drops():
     )
     canon = canonicalize(s)
     assert [(t.w, t.alpha) for t in canon.terms] == [(F(1), F(0))]
+
+
+def test_each_entry_point_validates_once(monkeypatch):
+    from pdmkeo import discretize, ordering
+    from pdmkeo.discretize import Grid, assemble_terms
+    from pdmkeo.profiles import constant
+
+    calls = []
+    real_check = ordering.check
+
+    def counting(s):
+        calls.append(s)
+        real_check(s)
+
+    monkeypatch.setattr(ordering, "check", counting)
+    monkeypatch.setattr(discretize, "check", counting)
+    entry_points = (
+        linear_params,
+        is_hermitian,
+        lambda s: assemble_terms(s, constant(1), Grid(-1.0, 1.0, 10)),
+        lambda s: weighted_mean(s, "alpha_gamma"),
+    )
+    bad_weights = spec([(F(1, 2), -1, 0, 0)])
+    bad_exponents = spec([(1, 0, 0, 0)])
+    for entry in entry_points:
+        calls.clear()
+        entry(catalog("DA(-1/2)"))
+        assert len(calls) == 1
+        with pytest.raises(WeightSumViolation):
+            entry(bad_weights)
+        with pytest.raises(ConstraintViolation):
+            entry(bad_exponents)

@@ -333,18 +333,21 @@ def test_inverse_iteration_survives_exact_eigenvalues(monkeypatch):
             raise
 
     monkeypatch.setattr(scipy.linalg, "solve_banded", counting)
-    # central odd-even decoupling gives exactly degenerate pairs
+    # central odd-even decoupling gives degenerate pairs: a symmetric mass
+    # on even n makes the even and odd blocks mirror images, whose
+    # bisections agree to rounding
     g = Grid(-1.0, 1.0, 500)
     h = hamiltonian(assemble_terms(catalog("YY"), lorentzian(m0=1, lam=1), g, scheme="central"),
                     zero_potential())
     res = solve(h, 6)
-    assert res.eigenvalues[0] == res.eigenvalues[1]
-    assert max(res.residuals) <= 1e-9 * np.max(np.abs(h.bands))
-    # a constant mass on odd n has the eigenvalue 0, and with hbar = 0 every
-    # eigenvalue is a diagonal entry: the shifted matrices are exactly singular
+    scale = np.max(np.abs(h.bands))
+    assert abs(res.eigenvalues[0] - res.eigenvalues[1]) <= 4 * np.finfo(float).eps * scale
+    assert max(res.residuals) <= 1e-9 * scale
+    # with hbar = 0 every eigenvalue is a diagonal entry, so the shifted
+    # matrices are exactly singular, on the whole H and on each block
     cases = [
-        hamiltonian(assemble_terms(catalog("BDD"), constant(1), Grid(-1.0, 1.0, 101),
-                                   scheme="central"), zero_potential()),
+        hamiltonian(assemble_terms(catalog("BDD"), constant(1), Grid(-1.0, 1.0, 51),
+                                   hbar=0.0, scheme="central"), harmonic()),
         hamiltonian(assemble_terms(catalog("BDD"), constant(1), Grid(-1.0, 1.0, 50),
                                    hbar=0.0), harmonic()),
     ]
@@ -353,6 +356,58 @@ def test_inverse_iteration_survives_exact_eigenvalues(monkeypatch):
         res = solve(h, 4)
         assert singular
         assert max(res.residuals) <= 1e-9 * np.max(np.abs(h.bands))
+
+
+@pytest.mark.parametrize("scheme", ["central", "staggered"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_small_grids_and_single_point_blocks(n, scheme):
+    # at n = 3 the central odd block is a single grid point
+    h = hamiltonian(assemble_terms(catalog("YY"), lorentzian(m0=1, lam=1), Grid(-1.0, 1.0, n),
+                                   scheme=scheme), harmonic())
+    scale = np.max(np.abs(h.matrix))
+    res = solve(h, n)
+    expected = scipy.linalg.eigh(h.matrix.real, eigvals_only=True)
+    assert np.max(np.abs(np.array(res.eigenvalues) - expected)) <= 1e-12 * scale
+    assert all(np.isfinite(r) and r <= 1e-9 * scale for r in res.residuals)
+
+
+def _mixed_bandwidth_pair():
+    g = Grid(-1.0, 1.0, 200)
+    prof = lorentzian(m0=1, lam=1)
+    tri = assemble_terms(catalog("ZK"), prof, g, scheme="staggered")
+    penta = assemble_terms(catalog("YY"), prof, g, scheme="central")
+    return hamiltonian(tri, penta), hamiltonian(penta, tri)
+
+
+def test_truly_pentadiagonal_operators_match_dense_eigh():
+    for h in _mixed_bandwidth_pair():
+        dense = h.matrix.real
+        expected = scipy.linalg.eigh(dense, eigvals_only=True, subset_by_index=(0, 4))
+        res = solve(h, 5)
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(np.array(res.eigenvalues) - expected)) <= 1e-12 * scale
+        assert max(res.residuals) <= 1e-9 * scale
+
+
+def test_band_reduction_only_for_truly_pentadiagonal_operators(monkeypatch):
+    calls = []
+    eig_banded = scipy.linalg.eig_banded
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eig_banded(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig_banded", counting)
+    g = Grid(-1.0, 1.0, 200)
+    prof = lorentzian(m0=1, lam=1)
+    for name in ("BDD", "ZK", "YY", "DA(-1/2)"):
+        for scheme in ("staggered", "central"):
+            assert linear_params(catalog(name)).eta == 0
+            solve(hamiltonian(assemble_terms(catalog(name), prof, g, scheme=scheme),
+                              harmonic()), 5)
+    assert calls == []
+    solve(_mixed_bandwidth_pair()[0], 5)
+    assert len(calls) == 1
 
 
 def test_no_dense_matrix_outside_the_export():
