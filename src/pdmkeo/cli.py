@@ -57,11 +57,15 @@ def _fmt(value, float_mode=False) -> str:
     return str(value)
 
 
-def _emit(args, doc: dict, csv_rows=None) -> None:
+def _csv(rows) -> str:
+    return "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
+
+
+def _emit(args, doc: dict, csv_text=None) -> None:
     if args.format == "csv":
-        if csv_rows is None:
+        if csv_text is None:
             raise KeoError("this command has no CSV form; use --format json")
-        text = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
+        text = csv_text
     else:
         text = json.dumps(doc, indent=2) + "\n"
     if args.output:
@@ -212,7 +216,7 @@ def cmd_table1(args):
                 r["eta"],
             ]
         )
-    return {"rows": rows}, csv_rows
+    return {"rows": rows}, _csv(csv_rows)
 
 
 def cmd_region(args):
@@ -229,7 +233,7 @@ def cmd_region(args):
                 [str(xi), str(zeta), lab.region,
                  "|".join(sorted(lab.boundaries, key=BOUNDARY_NAMES.index))]
             )
-    return {"resolution": args.resolution, "points": points}, csv_rows
+    return {"resolution": args.resolution, "points": points}, _csv(csv_rows)
 
 
 def cmd_assemble(args):
@@ -241,7 +245,7 @@ def cmd_assemble(args):
     else:
         op = assemble_terms(spec, profile, grid, hbar=args.hbar, scheme=args.scheme)
     if args.format == "csv":
-        return None, [line.split(",") for line in to_csv(op).strip().split("\n")]
+        return None, to_csv(op)
     return to_json_dict(op), None
 
 
@@ -291,7 +295,7 @@ def cmd_spectrum(args):
     }
     csv_rows = [["index", "eigenvalue"]]
     csv_rows += [[i, repr(e)] for i, e in enumerate(result.eigenvalues)]
-    return doc, csv_rows
+    return doc, _csv(csv_rows)
 
 
 def cmd_dualpair(args):
@@ -320,139 +324,152 @@ def cmd_dualpair(args):
         zip(report.vr_spectrum.eigenvalues, report.class_i_spectrum.eigenvalues)
     ):
         csv_rows.append([i, repr(a), repr(b)])
-    return doc, csv_rows
+    return doc, _csv(csv_rows)
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", default=None, help="write to file instead of stdout")
+def _config_value(flag, value, kw):
+    """A config file value checked and converted as the flag's text would be."""
+    if kw.get("action") == "store_true":
+        if not isinstance(value, bool):
+            raise KeoError(f"config: {flag} takes true or false, got {value!r}")
+        return value
+    try:
+        value = kw.get("type", str)(str(value))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise KeoError(f"config: {flag}: {exc}") from None
+    if "choices" in kw and value not in kw["choices"]:
+        raise KeoError(
+            f"config: {flag}: invalid choice {value!r} (choose from {', '.join(kw['choices'])})"
+        )
+    return value
+
+
+def _option(p, config, *flags, **kw):
+    """add_argument with the config file's value, if any, as the default."""
+    dest = kw.get("dest") or flags[0].lstrip("-")
+    if dest in config:
+        kw["default"] = _config_value(flags[0], config[dest], kw)
+        kw["required"] = False
+    return p.add_argument(*flags, **kw)
+
+
+class _SpecSource(argparse.Action):
+    """--name or --expr: the flag clears the other source, so it beats a
+    config file value for either."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.name = namespace.expr = None
+        setattr(namespace, self.dest, values)
+
+
+def _add_common(p, config):
+    _option(p, config, "--format", choices=("json", "csv"), default="json")
+    _option(p, config, "--output", default=None, help="write to file instead of stdout")
     p.add_argument("--config", default=None, help="JSON config file; flags win")
 
 
-def _add_spec_source(p):
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--name", help="catalog ordering, e.g. ZK or MB(-1/2)")
-    g.add_argument("--expr", help="ordering expression, e.g. '1/2 * p m^(-1) p'")
+def _add_spec_source(p, config):
+    g = p.add_mutually_exclusive_group(required=not {"name", "expr"} & config.keys())
+    _option(g, config, "--name", action=_SpecSource,
+            help="catalog ordering, e.g. ZK or MB(-1/2)")
+    _option(g, config, "--expr", action=_SpecSource,
+            help="ordering expression, e.g. '1/2 * p m^(-1) p'")
 
 
-def _add_grid(p, default_n=200):
-    p.add_argument("--n", type=int, default=default_n, help="interior grid points")
-    p.add_argument("--xmin", type=float, default=-1.0)
-    p.add_argument("--xmax", type=float, default=1.0)
-    p.add_argument("--hbar", type=float, default=1.0)
+def _add_grid(p, config, default_n=200):
+    _option(p, config, "--n", type=int, default=default_n, help="interior grid points")
+    _option(p, config, "--xmin", type=float, default=-1.0)
+    _option(p, config, "--xmax", type=float, default=1.0)
+    _option(p, config, "--hbar", type=float, default=1.0)
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     """Build the CLI parser; config values become per-subcommand defaults
     (explicit flags still win)."""
+    config = config or {}
     parser = argparse.ArgumentParser(
         prog="pdmkeo",
         description="classification and numerical verification of position-dependent-mass kinetic operators",
     )
     parser._negative_number_matcher = _NEGATIVE_VALUE_RE
     sub = parser.add_subparsers(dest="command", required=True)
-    subcommands = []
 
     def add_parser(*a, **kw):
         p = sub.add_parser(*a, **kw)
         p._negative_number_matcher = _NEGATIVE_VALUE_RE
-        subcommands.append(p)
         return p
 
     p = add_parser("params", help="linear ambiguity parameters (xi, zeta, eta) of an ordering")
-    _add_spec_source(p)
-    _add_common(p)
+    _add_spec_source(p, config)
+    _add_common(p, config)
     p.set_defaults(func=lambda a: (cmd_params(a), None))
 
     p = add_parser("classify", help="class membership of an exact (xi, zeta) point")
-    p.add_argument("--xi", type=rational_arg, required=True)
-    p.add_argument("--zeta", type=rational_arg, required=True)
-    _add_common(p)
+    _option(p, config, "--xi", type=rational_arg, required=True)
+    _option(p, config, "--zeta", type=rational_arg, required=True)
+    _add_common(p, config)
     p.set_defaults(func=lambda a: (cmd_classify(a), None))
 
     p = add_parser("invert", help="two-term ordering of a given class at (xi, zeta)")
-    p.add_argument("--xi", type=rational_arg, required=True)
-    p.add_argument("--zeta", type=rational_arg, required=True)
-    p.add_argument("--class", dest="cls", choices=REGIONS, required=True)
-    p.add_argument("--float", action="store_true", help="evaluate surds numerically")
-    _add_common(p)
+    _option(p, config, "--xi", type=rational_arg, required=True)
+    _option(p, config, "--zeta", type=rational_arg, required=True)
+    _option(p, config, "--class", dest="cls", choices=REGIONS, required=True)
+    _option(p, config, "--float", action="store_true", help="evaluate surds numerically")
+    _add_common(p, config)
     p.set_defaults(func=lambda a: (cmd_invert(a), None))
 
     p = add_parser("dual", help="theta -> -theta dual of an allowed (xi, zeta) point")
-    p.add_argument("--xi", type=rational_arg, required=True)
-    p.add_argument("--zeta", type=rational_arg, required=True)
-    _add_common(p)
+    _option(p, config, "--xi", type=rational_arg, required=True)
+    _option(p, config, "--zeta", type=rational_arg, required=True)
+    _add_common(p, config)
     p.set_defaults(func=lambda a: (cmd_dual(a), None))
 
     p = add_parser("table1", help="catalog orderings with their exact (xi, zeta)")
-    _add_common(p)
+    _add_common(p, config)
     p.set_defaults(func=lambda a: cmd_table1(a))
 
     p = add_parser("region", help="classified rational grid over the allowed region")
-    p.add_argument("--resolution", type=int, default=51)
-    _add_common(p)
+    _option(p, config, "--resolution", type=int, default=51)
+    _add_common(p, config)
     p.set_defaults(func=lambda a: cmd_region(a))
 
     p = add_parser("assemble", help="dense finite-difference kinetic matrix")
-    _add_spec_source(p)
-    p.add_argument("--profile", required=True, help="mass profile, e.g. lorentzian:m0=1,lam=1")
-    p.add_argument("--pathway", choices=("terms", "linear"), default="terms")
-    p.add_argument("--scheme", choices=("central", "staggered"), default="central")
-    _add_grid(p)
-    _add_common(p)
+    _add_spec_source(p, config)
+    _option(p, config, "--profile", required=True, help="mass profile, e.g. lorentzian:m0=1,lam=1")
+    _option(p, config, "--pathway", choices=("terms", "linear"), default="terms")
+    _option(p, config, "--scheme", choices=("central", "staggered"), default="central")
+    _add_grid(p, config)
+    _add_common(p, config)
     p.set_defaults(func=lambda a: cmd_assemble(a))
 
     p = add_parser("defect", help="two-pathway equivalence defect at n and 2n")
-    _add_spec_source(p)
-    p.add_argument("--profile", required=True)
-    _add_grid(p)
-    _add_common(p)
+    _add_spec_source(p, config)
+    _option(p, config, "--profile", required=True)
+    _add_grid(p, config)
+    _add_common(p, config)
     p.set_defaults(func=lambda a: (cmd_defect(a), None))
 
     p = add_parser("spectrum", help="lowest eigenvalues of T + V")
-    _add_spec_source(p)
-    p.add_argument("--profile", required=True)
-    p.add_argument("--potential", default="zero", help="e.g. zero or harmonic:k=1")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--scheme", choices=("central", "staggered"), default="staggered")
-    _add_grid(p, default_n=500)
-    _add_common(p)
+    _add_spec_source(p, config)
+    _option(p, config, "--profile", required=True)
+    _option(p, config, "--potential", default="zero", help="e.g. zero or harmonic:k=1")
+    _option(p, config, "--k", type=int, default=5)
+    _option(p, config, "--scheme", choices=("central", "staggered"), default="staggered")
+    _add_grid(p, config, default_n=500)
+    _add_common(p, config)
     p.set_defaults(func=lambda a: cmd_spectrum(a))
 
     p = add_parser("dualpair", help="side-by-side spectra of a (xi, theta) dual pair")
-    p.add_argument("--xi", type=rational_arg, required=True)
-    p.add_argument("--theta", type=rational_arg, required=True)
-    p.add_argument("--profile", required=True)
-    p.add_argument("--potential", default="zero")
-    p.add_argument("--k", type=int, default=5)
-    _add_grid(p, default_n=500)
-    _add_common(p)
+    _option(p, config, "--xi", type=rational_arg, required=True)
+    _option(p, config, "--theta", type=rational_arg, required=True)
+    _option(p, config, "--profile", required=True)
+    _option(p, config, "--potential", default="zero")
+    _option(p, config, "--k", type=int, default=5)
+    _add_grid(p, config, default_n=500)
+    _add_common(p, config)
     p.set_defaults(func=lambda a: cmd_dualpair(a))
 
-    if config:
-        for sp in subcommands:
-            known = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in config.items() if k in known})
-            for a in sp._actions:
-                if a.dest in config:
-                    a.required = False
-            for group in sp._mutually_exclusive_groups:
-                if any(a.dest in config for a in group._group_actions):
-                    group.required = False
     return parser
-
-
-_CONFIG_TYPES = {
-    "xi": rational_arg,
-    "zeta": rational_arg,
-    "theta": rational_arg,
-    "n": int,
-    "k": int,
-    "resolution": int,
-    "xmin": float,
-    "xmax": float,
-    "hbar": float,
-}
 
 
 def _config_defaults(argv) -> dict:
@@ -468,9 +485,7 @@ def _config_defaults(argv) -> dict:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise KeoError("config file must hold a JSON object of flag values")
-    return {
-        key: _CONFIG_TYPES.get(key, lambda v: v)(value) for key, value in raw.items()
-    }
+    return raw
 
 
 def main(argv=None) -> int:
@@ -478,8 +493,8 @@ def main(argv=None) -> int:
     try:
         parser = build_parser(_config_defaults(argv))
         args = parser.parse_args(argv)
-        doc, csv_rows = args.func(args)
-        _emit(args, doc, csv_rows)
+        doc, csv_text = args.func(args)
+        _emit(args, doc, csv_text)
         return 0
     except (KeoError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

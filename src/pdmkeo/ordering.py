@@ -291,7 +291,10 @@ def catalog(name: str, *params) -> OrderingSpec:
         base, _, arg_text = label[:-1].partition("(")
         label = base.strip()
         args = [a.strip() for a in arg_text.split(",")] if arg_text.strip() else []
-        params = tuple(Fraction(a) for a in args)
+        try:
+            params = tuple(Fraction(a) for a in args)
+        except (ValueError, ZeroDivisionError):
+            raise UnknownOrdering(f"malformed parameter in ordering name {name!r}") from None
     key = _ALIASES.get(label.lower())
     if key is None:
         raise UnknownOrdering(f"unknown ordering {name!r}; known: {', '.join(_CATALOG)}")

@@ -8,6 +8,7 @@ positive and the supplied derivatives must agree with central differences.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -59,9 +60,10 @@ def _params(**kwargs) -> dict[str, Fraction]:
 def constant(m0=1) -> MassProfile:
     """m(x) = m0."""
     p = _params(m0=m0)
-    u0 = 1.0 / float(p["m0"])
-    if u0 <= 0:
+    m0f = float(p["m0"])
+    if m0f <= 0:
         raise ValueError("m0 must be positive")
+    u0 = 1.0 / m0f
     return MassProfile(
         name="constant",
         inv_m=lambda x: u0 * np.ones_like(np.asarray(x, dtype=float)),
@@ -185,17 +187,33 @@ PROFILES = {
 }
 
 
-def make_profile(spec: str) -> MassProfile:
-    """Build a profile from 'name' or 'name:key=value,key=value' text."""
+def _from_spec_text(spec: str, kind: str, builders: Mapping[str, Callable]):
+    """Call builders[name] for 'name' or 'name:key=value,...' text, each
+    value an exact rational that a float can hold. Malformed text, an
+    unknown name or an unknown parameter raises ValueError."""
     name, _, arg_text = spec.partition(":")
     name = name.strip()
-    if name not in PROFILES:
-        raise ValueError(f"unknown profile {name!r}; known: {', '.join(PROFILES)}")
+    if name not in builders:
+        raise ValueError(f"unknown {kind} {name!r}; known: {', '.join(builders)}")
+    known = inspect.signature(builders[name]).parameters
     kwargs = {}
     if arg_text.strip():
         for item in arg_text.split(","):
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ValueError(f"malformed profile parameter {item!r}")
-            kwargs[key.strip()] = Fraction(value.strip())
-    return PROFILES[name](**kwargs)
+            key, _, value = (part.strip() for part in item.partition("="))
+            if key not in known:
+                raise ValueError(
+                    f"{kind} {name} has no parameter {key!r}; known: {', '.join(known) or 'none'}"
+                )
+            try:
+                kwargs[key] = Fraction(value)
+                float(kwargs[key])  # the builders evaluate in floats
+            except (ValueError, ZeroDivisionError, OverflowError):
+                raise ValueError(
+                    f"malformed {kind} parameter {item!r}: need key=value with a finite rational value"
+                ) from None
+    return builders[name](**kwargs)
+
+
+def make_profile(spec: str) -> MassProfile:
+    """Build a profile from 'name' or 'name:key=value,key=value' text."""
+    return _from_spec_text(spec, "profile", PROFILES)

@@ -5,9 +5,10 @@ decoupling). H stays banded, and `solve` finds its lowest eigenvalues
 per tridiagonal block by bisection: a staggered H is one tridiagonal
 block, and a central H, whose +-1 diagonals are zero, is two, on the
 even and on the odd grid points. Only a truly pentadiagonal H goes
-through a banded symmetric eigensolver. Each residual comes from inverse
-iteration on the block that holds the eigenvector. Dual-pair spectra are
-computed and reported side by side without asserting equality.
+through a banded symmetric eigensolver. Each residual is measured for
+the eigenvector that LAPACK returns for the block holding the value.
+Dual-pair spectra are computed and reported side by side without
+asserting equality.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .classify import DualityParams, from_duality, invert
 from .discretize import AssembledOperator, Grid, _diagonal_bands, assemble_terms
 from .errors import GridMismatch, KeoError, NotSymmetric
-from .profiles import MassProfile
+from .profiles import MassProfile, _from_spec_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,18 +56,7 @@ POTENTIALS = {"zero": zero_potential, "harmonic": harmonic}
 
 def make_potential(spec: str) -> PotentialProfile:
     """Build a potential from 'name' or 'name:key=value,...' text."""
-    name, _, arg_text = spec.partition(":")
-    name = name.strip()
-    if name not in POTENTIALS:
-        raise ValueError(f"unknown potential {name!r}; known: {', '.join(POTENTIALS)}")
-    kwargs = {}
-    if arg_text.strip():
-        for item in arg_text.split(","):
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ValueError(f"malformed potential parameter {item!r}")
-            kwargs[key.strip()] = Fraction(value.strip())
-    return POTENTIALS[name](**kwargs)
+    return _from_spec_text(spec, "potential", POTENTIALS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +65,10 @@ class SpectrumResult:
 
     The eigenvalues are those of H's tridiagonal blocks (see `solve`).
     `residuals[i]` is ||H x - e x|| for e = `eigenvalues[i]` and the unit
-    vector x from two steps of inverse iteration with shift e on the
-    block that e came from, zero on the other grid points. It is a few
-    rounding errors of max|H| exactly when e is an eigenvalue of H;
-    within a degenerate pair x is some vector of the shared eigenspace.
+    vector x that LAPACK returns with e for the block that e came from,
+    zero on the other grid points. It is a few rounding errors of max|H|
+    exactly when e is an eigenvalue of H; within a degenerate pair x is
+    some vector of the shared eigenspace.
     """
 
     eigenvalues: tuple[float, ...]
@@ -119,32 +109,6 @@ def _max_asymmetry(bands: np.ndarray, conj=lambda z: z) -> float:
     )
 
 
-def _inverse_iteration(bands: np.ndarray, shift: float, start: np.ndarray,
-                       nudge: float) -> np.ndarray:
-    """Unit vector from two steps of inverse iteration on the bands.
-
-    When the shift is an exact eigenvalue the shifted matrix can be exactly
-    singular; the shift then moves by `nudge`, doubled until it factors.
-    A 1 x 1 matrix has the unit basis vector (solve_banded would divide by
-    the exact zero d - e there without raising)."""
-    from scipy.linalg import solve_banded
-
-    if bands.shape[1] == 1:
-        return np.ones(1)
-    half = (bands.shape[0] - 1) // 2
-    while True:
-        shifted = bands.copy()
-        shifted[half] -= shift
-        try:
-            x = start
-            for _ in range(2):
-                x = solve_banded((half, half), shifted, x, check_finite=False)
-                x = x / np.linalg.norm(x)
-            return x
-        except np.linalg.LinAlgError:
-            shift, nudge = shift + nudge, 2 * nudge
-
-
 def _tridiagonal_blocks(bands: np.ndarray) -> list | None:
     """The independent tridiagonal blocks of the symmetric matrix that the
     lower half of these bands defines, as (grid points, diagonal,
@@ -168,7 +132,7 @@ def solve(h: AssembledOperator, k: int) -> SpectrumResult:
     LAPACK bisection (`eigh_tridiagonal`) in O(m k) for m points; a truly
     pentadiagonal H (an operator addend of the other bandwidth) goes
     through `eig_banded`. Each residual is measured on the full H for the
-    inverse-iteration vector of the block holding the eigenvalue."""
+    eigenvector that the same LAPACK call returns for the block."""
     # imported here: scipy.linalg is most of the package's import time, and
     # only the eigensolve needs it
     from scipy.linalg import eig_banded, eigh_tridiagonal
@@ -188,23 +152,20 @@ def solve(h: AssembledOperator, k: int) -> SpectrumResult:
     # the lower triangle, as a dense symmetric solver reads it
     blocks = _tridiagonal_blocks(bands)
     if blocks is None:
-        vals = eig_banded(bands[h.bandwidth:], lower=True, eigvals_only=True,
-                          select="i", select_range=(0, k - 1))
-        found = [(value, slice(None), bands) for value in vals]
+        vals, vecs = eig_banded(bands[h.bandwidth:], lower=True,
+                                select="i", select_range=(0, k - 1))
+        found = [(value, slice(None), vec) for value, vec in zip(vals, vecs.T)]
     else:
         found = []
         for points, d, e in blocks:
-            tri = np.array([np.r_[0.0, e], d, np.r_[e, 0.0]])
-            vals = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                                    select_range=(0, min(k, d.size) - 1))
-            found += [(value, points, tri) for value in vals]
+            vals, vecs = eigh_tridiagonal(d, e, select="i",
+                                          select_range=(0, min(k, d.size) - 1))
+            found += [(value, points, vec) for value, vec in zip(vals, vecs.T)]
         found = sorted(found, key=lambda f: f[0])[:k]
-    start = np.random.default_rng(0).standard_normal(n)
-    nudge = np.finfo(float).eps * scale
     residuals = []
-    for value, points, block in found:
+    for value, points, vec in found:
         x = np.zeros(n)
-        x[points] = _inverse_iteration(block, value, start[points], nudge)
+        x[points] = vec
         residuals.append(float(np.linalg.norm(h.applied_to(x) - value * x)))
     return SpectrumResult(
         eigenvalues=tuple(float(f[0]) for f in found),

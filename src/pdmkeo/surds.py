@@ -189,11 +189,16 @@ class Surd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        try:
+        if self.b == 0 or o.b == 0 or self.d == o.d:
             return (self - o)._sign() < 0
-        except ArithmeticError:
-            # different fields: fall back to exact-enough float ordering
-            return float(self) < float(o)
+        # different fields: self < o exactly when r = self - o.a, in self's
+        # field, is below o.b*sqrt(o.d); equal signs compare by squares,
+        # which lie in self's field too (they are never equal)
+        r = self - o.a
+        r_sign, o_sign = r._sign(), (1 if o.b > 0 else -1)
+        if r_sign != o_sign:
+            return r_sign < o_sign
+        return (r * r - o.b * o.b * o.d)._sign() == -o_sign
 
     def __hash__(self):
         if self.b == 0:

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 GOLDEN = Path(__file__).parent / "golden" / "table1.json"
 
 
@@ -199,6 +201,33 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert doc["xi"] == "-1/3" and doc["zeta"] == "1/6"
     doc = json.loads(run_cli("classify", "--config", str(cfg), "--zeta", "1/9").stdout)
     assert doc["zeta"] == "1/9"
+    # a flag beats the config value of the other member of its group
+    cfg.write_text(json.dumps({"name": "YY"}))
+    cp = run_cli("params", "--config", str(cfg), "--expr", "1/2 * p m^(-1) p")
+    assert json.loads(cp.stdout) == {"xi": "0", "zeta": "0", "eta": "0"}
+    assert json.loads(run_cli("params", "--config", str(cfg)).stdout)["xi"] == "-1/3"
+    # config values pass the flag's own type and choices
+    for bad in ({"format": "xml"}, {"xi": "-0.5", "zeta": "0"}, {"xi": -0.5, "zeta": 0}):
+        cfg.write_text(json.dumps(bad))
+        cp = run_cli("classify", "--config", str(cfg), "--xi", "-1/3", "--zeta", "1/6")
+        assert cp.returncode == 1 and cp.stdout == ""
+        assert cp.stderr.startswith("error:") and "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["assemble", "--name", "BDD", "--profile", "lorentzian:foo=1", "--n", "8"],
+    ["assemble", "--name", "BDD", "--profile", "lorentzian:m0=1/0", "--n", "8"],
+    ["assemble", "--name", "BDD", "--profile", "lorentzian:m0=1e400", "--n", "8"],
+    ["assemble", "--name", "BDD", "--profile", "constant:m0=0", "--n", "8"],
+    ["spectrum", "--name", "BDD", "--profile", "constant", "--potential", "harmonic:q=1", "--n", "8"],
+    ["spectrum", "--name", "BDD", "--profile", "constant", "--potential", "harmonic:k=1/0", "--n", "8"],
+    ["params", "--name", "MB(1/0)"],
+])
+def test_malformed_specs_give_one_line_errors(argv):
+    cp = run_cli(*argv)
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error:")
+    assert "Traceback" not in cp.stderr
 
 
 def test_parse_error_diagnostic_includes_position():

@@ -173,6 +173,9 @@ def test_catalog_unknown_name_and_arity():
 def test_catalog_inline_parameters():
     assert catalog("MB(-1/2)").terms == catalog("MB", F(-1, 2)).terms
     assert catalog("vR(-1/4,-1/2)").terms == catalog("vR", F(-1, 4), F(-1, 2)).terms
+    for malformed in ("MB(1/0)", "MB(x)", "vR(-1/4,)"):
+        with pytest.raises(UnknownOrdering):
+            catalog(malformed)
 
 
 def test_catalog_weyl_weights():

@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction as F
 
@@ -79,3 +80,17 @@ def test_as_fraction_requires_rational():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Surd.sqrt(2) / 0
+
+
+def test_ordering_across_radicands_is_exact():
+    # q + sqrt(3) exceeds sqrt(2) by 1e-20, far below float resolution
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        q = F(str(ctx.sqrt(2) - ctx.sqrt(3))) + F(1, 10**20)
+    left, right = Surd(q, 1, 3), Surd(0, 1, 2)
+    assert float(left) < float(right)  # floats get the order wrong
+    assert right < left and not left < right
+    assert -left < -right and not -right < -left
+    assert Surd(q - F(2, 10**20), 1, 3) < right
+    assert sorted([Surd.sqrt(3), F(3, 2), Surd.sqrt(2), -Surd.sqrt(5)]) == [
+        -Surd.sqrt(5), Surd.sqrt(2), F(3, 2), Surd.sqrt(3)]
