@@ -244,11 +244,30 @@ def region_samples(resolution: int):
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     steps = resolution - 1
+    # every point is (x/d, z/d) over the shared denominator d, so each test
+    # of classify becomes an integer comparison scaled by d^2
+    d = 4 * steps
+    zetas = [Fraction(z, d) for z in range(steps + 1)]
+    labels = {}  # region and boundary tests -> the labels classify builds
     out = []
     for i in range(resolution):
-        xi = Fraction(i, 2 * steps) - Fraction(1, 2)
-        for j in range(resolution):
-            zeta = Fraction(j, 4 * steps)
-            if in_allowed_region(xi, zeta):
-                out.append((xi, zeta, classify(xi, zeta)))
+        x = 2 * (i - steps)
+        xi = Fraction(x, d)
+        mb, i_ii, i_iii = x * x, 2 * x * x, x * x + (x + d // 2) ** 2
+        for z, zeta in enumerate(zetas):
+            if 2 * z > -x:  # zeta > -xi/2: the rest of the column is outside
+                break
+            zd = z * d
+            tests = (
+                zd <= mb, mb <= zd <= min(i_iii, i_ii), i_ii <= zd, i_iii <= zd,
+                zd == mb, zd == i_ii, zd == i_iii, 2 * z == -x, z == 0,
+            )
+            if tests not in labels:
+                flags = frozenset(b for b, on in zip(BOUNDARY_NAMES, tests[4:]) if on)
+                labels[tests] = tuple(
+                    ClassLabel(region, flags & _INCIDENT[region])
+                    for region, inside in zip(REGIONS, tests[:4])
+                    if inside
+                )
+            out.append((xi, zeta, set(labels[tests])))
     return out

@@ -23,13 +23,14 @@ from .classify import (
     region_samples,
     to_duality,
 )
-from .discretize import Grid, assemble_linear, assemble_terms, equivalence_defect, to_csv, to_json_dict
 from .errors import KeoError
 from .ordering import catalog, linear_params, validate
 from .parser import parse, print_canonical
-from .profiles import make_profile
-from .spectra import dual_pair_report, hamiltonian, make_potential, solve
 from .surds import Surd
+
+# The numerical modules (discretize, profiles, spectra) are imported inside
+# the commands that use them: they load numpy, which the exact-algebra
+# subcommands never need.
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -85,7 +86,9 @@ def _resolve_spec(args):
     return spec
 
 
-def _grid(args) -> Grid:
+def _grid(args):
+    from .discretize import Grid
+
     return Grid(args.xmin, args.xmax, args.n)
 
 
@@ -98,7 +101,7 @@ def _label_doc(label) -> dict:
     return {"region": label.region, "boundaries": bounds}
 
 
-def _bump_psi(grid: Grid):
+def _bump_psi(grid):
     a, b = grid.x_min, grid.x_max
     scale = ((b - a) / 2.0) ** 4
 
@@ -237,6 +240,9 @@ def cmd_region(args):
 
 
 def cmd_assemble(args):
+    from .discretize import assemble_linear, assemble_terms, to_csv, to_json_dict
+    from .profiles import make_profile
+
     spec = _resolve_spec(args)
     profile = make_profile(args.profile)
     grid = _grid(args)
@@ -250,6 +256,9 @@ def cmd_assemble(args):
 
 
 def cmd_defect(args) -> dict:
+    from .discretize import equivalence_defect
+    from .profiles import make_profile
+
     spec = _resolve_spec(args)
     profile = make_profile(args.profile)
     grid = _grid(args)
@@ -272,6 +281,10 @@ def cmd_defect(args) -> dict:
 
 
 def cmd_spectrum(args):
+    from .discretize import assemble_terms
+    from .profiles import make_profile
+    from .spectra import hamiltonian, make_potential, solve
+
     spec = _resolve_spec(args)
     profile = make_profile(args.profile)
     potential = make_potential(args.potential)
@@ -299,6 +312,9 @@ def cmd_spectrum(args):
 
 
 def cmd_dualpair(args):
+    from .profiles import make_profile
+    from .spectra import dual_pair_report, make_potential
+
     profile = make_profile(args.profile)
     potential = make_potential(args.potential)
     grid = _grid(args)
@@ -469,6 +485,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     _add_common(p, config)
     p.set_defaults(func=lambda a: cmd_dualpair(a))
 
+    # one config file may serve every subcommand, but a key that sets no
+    # option of any of them (a typo, or help and config, which only flags
+    # give) would otherwise be dropped without a word
+    options = {a.dest for p in sub.choices.values() for a in p._actions} - {"help", "config"}
+    unknown = [key for key in config if key not in options]
+    if unknown:
+        raise KeoError(f"config: unknown key {unknown[0]!r}")
     return parser
 
 

@@ -168,9 +168,16 @@ def _inverse_mass_at(profile: MassProfile, x: np.ndarray) -> np.ndarray:
     return u
 
 
-def _mass_power(u: np.ndarray, s) -> np.ndarray:
+def _as_float(value, what: str) -> float:
+    """float(value); an exact value that no float holds is a ValueError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+
+
+def _mass_power(u: np.ndarray, s: float) -> np.ndarray:
     """diag values of m^s from inverse-mass samples (m^s = u^(-s))."""
-    s = float(s)
     if s == 0.0:
         return np.ones_like(u)
     return u ** (-s)
@@ -219,15 +226,18 @@ def assemble_terms(
         u_mid = _inverse_mass_at(profile, grid.midpoints)
     half = _HALF_BANDWIDTH[scheme]
     total = np.zeros((2 * half + 1, grid.n))
-    for t in spec.terms:
-        a = _row_values(_mass_power(u, t.alpha), half)
-        c = _mass_power(u, t.gamma)
+    for i, t in enumerate(spec.terms):
+        w, alpha, beta, gamma = (
+            _as_float(v, f"term {i}: weight or exponent") for v in (t.w, t.alpha, t.beta, t.gamma)
+        )
+        a = _row_values(_mass_power(u, alpha), half)
+        c = _mass_power(u, gamma)
         if scheme == "central":
-            core = _central_core(_mass_power(u, t.beta), grid.h)
+            core = _central_core(_mass_power(u, beta), grid.h)
         else:
-            core = _staggered_core(_mass_power(u_mid, t.beta), grid.h)
+            core = _staggered_core(_mass_power(u_mid, beta), grid.h)
         # entrywise a[i] * core[i, j] * c[j], in the dense product's order
-        total += float(t.w) * (a * core * c)
+        total += w * (a * core * c)
     bands = -(hbar**2 / 2.0) * total
     eta = _mean(spec, "gamma") - _mean(spec, "alpha")
     if eta != 0:
@@ -251,7 +261,8 @@ def effective_potential(
     u = _inverse_mass_at(profile, xs)
     du = np.asarray(profile.d_inv_m(xs), dtype=float)
     ddu = np.asarray(profile.dd_inv_m(xs), dtype=float)
-    out = (hbar**2 / 2.0) * (float(params.xi) * ddu + float(params.zeta) * du**2 / u)
+    xi, zeta = _as_float(params.xi, "xi"), _as_float(params.zeta, "zeta")
+    out = (hbar**2 / 2.0) * (xi * ddu + zeta * du**2 / u)
     if np.ndim(x) == 0:
         return float(out[0])
     return out
@@ -279,7 +290,7 @@ def assemble_linear(
     if params.eta != 0:
         # first-order term eta (i hbar / 2) (1/m)' p in position representation
         du = _row_values(np.asarray(profile.d_inv_m(x), dtype=float), half)
-        bands = bands + float(params.eta) * (hbar**2 / 2.0) * (
+        bands = bands + _as_float(params.eta, "eta") * (hbar**2 / 2.0) * (
             du * _derivative_bands(grid.n, grid.h, half)
         )
         bands = bands.astype(complex)
@@ -318,17 +329,17 @@ def equivalence_defect(
     return float(np.linalg.norm(a.applied_to(psi) - b.applied_to(psi)) / norm)
 
 
-def _format_value(v) -> str:
-    if isinstance(v, complex) or np.iscomplexobj(v):
-        z = complex(v)
-        sign = "+" if z.imag >= 0 else "-"
-        return f"{z.real!r}{sign}{abs(z.imag)!r}j"
-    return repr(float(v))
+def _format_complex(z: complex) -> str:
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{z.real!r}{sign}{abs(z.imag)!r}j"
 
 
 def to_csv(op: AssembledOperator) -> str:
     """Row-major dense CSV at full precision."""
-    lines = [",".join(_format_value(v) for v in row) for row in op.matrix]
+    dense = op.matrix
+    fmt = _format_complex if np.iscomplexobj(dense) else repr
+    # row by row: the Python floats of one row at a time, not all n^2
+    lines = [",".join(map(fmt, row.tolist())) for row in dense]
     return "\n".join(lines) + "\n"
 
 

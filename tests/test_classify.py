@@ -205,6 +205,23 @@ def test_region_samples_resolution_3():
         assert labels
 
 
+@pytest.mark.parametrize("resolution", [*range(2, 13), 51])
+def test_region_samples_agree_with_classify(resolution):
+    # the reference: every grid point tested with the exact Fraction
+    # arithmetic of in_allowed_region and classify
+    steps = resolution - 1
+    expected = [
+        (xi, zeta, classify(xi, zeta))
+        for xi in (F(i, 2 * steps) - F(1, 2) for i in range(resolution))
+        for zeta in (F(j, 4 * steps) for j in range(resolution))
+        if in_allowed_region(xi, zeta)
+    ]
+    samples = region_samples(resolution)
+    assert samples == expected
+    assert all(type(xi) is F and type(zeta) is F and type(labels) is set
+               for xi, zeta, labels in samples)
+
+
 def test_region_samples_rejects_small_resolution():
     with pytest.raises(ValueError):
         region_samples(1)

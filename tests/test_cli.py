@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -34,6 +35,10 @@ def test_params_warning_goes_to_stderr():
     assert cp.returncode == 0
     assert "warning:" in cp.stderr
     assert json.loads(cp.stdout)["xi"] == "0"
+    # exact parameters no float holds are still printed exactly
+    cp = run_cli("params", "--name", "MB(1e400)")
+    assert cp.returncode == 0
+    assert json.loads(cp.stdout)["xi"] == str(10**400)
 
 
 def test_classify_point():
@@ -144,7 +149,7 @@ def test_assemble_linear_pathway_csv():
 
 
 def test_assemble_builds_only_the_requested_format(monkeypatch, capsys):
-    from pdmkeo import cli
+    from pdmkeo import cli, discretize
 
     def unused(op):
         raise AssertionError("built an output format that was not requested")
@@ -152,7 +157,7 @@ def test_assemble_builds_only_the_requested_format(monkeypatch, capsys):
     argv = ["assemble", "--name", "YY", "--profile", "lorentzian:m0=1,lam=1", "--n", "6"]
     for fmt, skipped in (("csv", "to_json_dict"), ("json", "to_csv")):
         with monkeypatch.context() as m:
-            m.setattr(cli, skipped, unused)
+            m.setattr(discretize, skipped, unused)
             assert cli.main(argv + ["--format", fmt]) == 0
         assert capsys.readouterr().out
 
@@ -212,6 +217,16 @@ def test_config_file_defaults_and_flag_override(tmp_path):
         cp = run_cli("classify", "--config", str(cfg), "--xi", "-1/3", "--zeta", "1/6")
         assert cp.returncode == 1 and cp.stdout == ""
         assert cp.stderr.startswith("error:") and "Traceback" not in cp.stderr
+    # a key that names no option of any subcommand is refused, not dropped
+    cfg.write_text(json.dumps({"nn": 5, "kk": 2}))
+    cp = run_cli("spectrum", "--config", str(cfg), "--name", "BDD", "--profile", "constant",
+                 "--n", "30")
+    assert cp.returncode == 1 and cp.stdout == ""
+    assert cp.stderr == "error: config: unknown key 'nn'\n"
+    # a key of another subcommand is accepted: one file serves them all
+    cfg.write_text(json.dumps({"xi": "-1/3", "zeta": "1/6", "resolution": 3, "n": 30}))
+    doc = json.loads(run_cli("classify", "--config", str(cfg)).stdout)
+    assert doc["xi"] == "-1/3" and doc["zeta"] == "1/6"
 
 
 @pytest.mark.parametrize("argv", [
@@ -222,11 +237,18 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     ["spectrum", "--name", "BDD", "--profile", "constant", "--potential", "harmonic:q=1", "--n", "8"],
     ["spectrum", "--name", "BDD", "--profile", "constant", "--potential", "harmonic:k=1/0", "--n", "8"],
     ["params", "--name", "MB(1/0)"],
+    ["spectrum", "--name", "MB(1e400)", "--profile", "constant", "--n", "20"],
+    ["assemble", "--name", "MB(1e400)", "--profile", "constant", "--n", "20"],
+    ["defect", "--name", "MB(1e400)", "--profile", "constant", "--n", "20"],
 ])
 def test_malformed_specs_give_one_line_errors(argv):
     cp = run_cli(*argv)
     assert cp.returncode == 1
-    assert cp.stderr.startswith("error:")
+    # one error line, after any warnings about the ordering itself (an
+    # exponent too large for a float is outside [-1, 0] and warns)
+    *warnings, error = cp.stderr.splitlines()
+    assert error.startswith("error:")
+    assert all(line.startswith("warning:") for line in warnings)
     assert "Traceback" not in cp.stderr
 
 
@@ -246,3 +268,46 @@ def test_import_leaves_scipy_linalg_unloaded():
     )
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.strip() == "False"
+    # numpy is most of what is left: the exact-algebra subcommands, like the
+    # package and the CLI module themselves, never load it
+    exact_algebra = (
+        ["table1"],
+        ["params", "--name", "YY"],
+        ["classify", "--xi", "-1/3", "--zeta", "1/6"],
+        ["invert", "--xi", "-1/4", "--zeta", "1/32", "--class", "vR"],
+        ["dual", "--xi", "-1/4", "--zeta", "0"],
+        ["region", "--resolution", "11"],
+    )
+    scripts = ["import pdmkeo", "import pdmkeo.cli"] + [
+        "import contextlib, io\n"
+        "from pdmkeo import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0"
+        for argv in exact_algebra
+    ]
+    report = "\nimport sys; print(sorted({'numpy', 'scipy'} & sys.modules.keys()))"
+    for script in scripts:
+        cp = subprocess.run([sys.executable, "-c", script + report], capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.strip() == "[]", script
+
+
+def test_numerical_names_follow_their_home_modules(monkeypatch):
+    import pdmkeo
+    from pdmkeo import _HOME
+
+    assert _HOME.keys() <= set(pdmkeo.__all__)
+    for name in pdmkeo.__all__:
+        value = getattr(pdmkeo, name)
+        if name in _HOME:
+            home = importlib.import_module(f"pdmkeo.{_HOME[name]}")
+            assert value is getattr(home, name), name
+    # the package reads the home binding on every lookup, so a rebinding
+    # there is seen through the package, and so is its undo
+    solve = pdmkeo.spectra.solve
+    with monkeypatch.context() as m:
+        m.setattr(pdmkeo.spectra, "solve", len)
+        assert pdmkeo.solve is len
+    assert pdmkeo.solve is solve
+    with pytest.raises(AttributeError):
+        pdmkeo.nonexistent

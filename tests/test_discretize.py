@@ -229,6 +229,21 @@ def test_exports_round_trip_and_shape():
     rows = [line.split(",") for line in csv_text.strip().split("\n")]
     parsed = np.array([[float(v) for v in row] for row in rows])
     assert np.array_equal(parsed, op.matrix)
+    # byte for byte, with the signed zeros off the band and, for eta != 0,
+    # the complex form
+    assert csv_text == (
+        "3.1249999999999996,-0.0,-3.1249999999999996,-0.0\n"
+        "-0.0,6.249999999999999,-0.0,-3.1249999999999996\n"
+        "-3.1249999999999996,-0.0,6.249999999999999,-0.0\n"
+        "-0.0,-3.1249999999999996,-0.0,3.1249999999999996\n"
+    )
+    params = linear_params(spec([(1, -1, 0, 0)]))  # 1/2 * m^(-1) p p
+    complex_op = assemble_linear(params, lorentzian(), Grid(0.0, 1.0, 3), scheme="staggered")
+    assert to_csv(complex_op) == (
+        "17.25+0.0j,-8.625+0.0j,0.0+0.0j\n"
+        "-10.125+0.0j,20.25+0.0j,-10.125+0.0j\n"
+        "0.0+0.0j,-12.625+0.0j,25.25+0.0j\n"
+    )
     doc = to_json_dict(op)
     assert doc["grid"]["n"] == 4
     assert doc["provenance"]["pathway"] == "terms"
