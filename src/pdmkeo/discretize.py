@@ -24,6 +24,7 @@ form, built on demand for export and for tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,6 +51,11 @@ class Grid:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("need n >= 3 interior points")
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.h))):
+            raise ValueError(
+                f"need finite x_min, x_max and spacing, got x_min = {self.x_min!r}, "
+                f"x_max = {self.x_max!r}, h = {self.h!r}"
+            )
         if not self.x_max > self.x_min:
             raise ValueError("need x_max > x_min")
 
@@ -75,7 +81,10 @@ class Grid:
 class AssembledOperator:
     """A kinetic (or full) operator stored by its diagonals.
 
-    `bands` is scipy's banded layout: shape (2l+1, n) with
+    `bands` is real (float64) for every ordering, eta != 0 included: in
+    position representation m^a p m^b p m^c and the first-order term
+    eta (i hbar/2)(1/m)' p = eta (hbar^2/2)(1/m)' d/dx are real
+    operators. It is scipy's banded layout: shape (2l+1, n) with
     `bands[l + i - j, j] == A[i, j]`, where the half-bandwidth l is 1 for
     the staggered scheme (tridiagonal) and 2 for the central one
     (pentadiagonal). The cells of `bands` that fall outside the n x n
@@ -219,7 +228,7 @@ def assemble_terms(
     """Term-by-term banded composition of a weighted multi-term ordering:
     each term m^a p m^b p m^c contributes diag(m^a) core(m^b) diag(m^c)."""
     check(spec)
-    _require_scheme(scheme)
+    _require_scheme_and_hbar(scheme, hbar)
     x = grid.points
     u = _inverse_mass_at(profile, x)
     if scheme == "staggered":
@@ -240,8 +249,6 @@ def assemble_terms(
         total += w * (a * core * c)
     bands = -(hbar**2 / 2.0) * total
     eta = _mean(spec, "gamma") - _mean(spec, "alpha")
-    if eta != 0:
-        bands = bands.astype(complex)
     prov = {
         "pathway": "terms",
         "scheme": scheme,
@@ -276,7 +283,7 @@ def assemble_linear(
     scheme: str = "central",
 ) -> AssembledOperator:
     """Canonical assembly p(1/m)p/2 + defect term + effective potential."""
-    _require_scheme(scheme)
+    _require_scheme_and_hbar(scheme, hbar)
     x = grid.points
     u = _inverse_mass_at(profile, x)
     if scheme == "central":
@@ -293,7 +300,6 @@ def assemble_linear(
         bands = bands + _as_float(params.eta, "eta") * (hbar**2 / 2.0) * (
             du * _derivative_bands(grid.n, grid.h, half)
         )
-        bands = bands.astype(complex)
     prov = {
         "pathway": "linear",
         "scheme": scheme,
@@ -304,9 +310,12 @@ def assemble_linear(
     return AssembledOperator(bands, grid, float(hbar), prov)
 
 
-def _require_scheme(scheme: str) -> None:
+def _require_scheme_and_hbar(scheme: str, hbar: float) -> None:
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    # the operators scale with hbar^2, which must be finite too
+    if not (math.isfinite(hbar) and math.isfinite(hbar * hbar)):
+        raise ValueError(f"need a finite hbar with a finite hbar^2, got hbar = {hbar!r}")
 
 
 def equivalence_defect(
@@ -329,30 +338,15 @@ def equivalence_defect(
     return float(np.linalg.norm(a.applied_to(psi) - b.applied_to(psi)) / norm)
 
 
-def _format_complex(z: complex) -> str:
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real!r}{sign}{abs(z.imag)!r}j"
-
-
 def to_csv(op: AssembledOperator) -> str:
     """Row-major dense CSV at full precision."""
-    dense = op.matrix
-    fmt = _format_complex if np.iscomplexobj(dense) else repr
     # row by row: the Python floats of one row at a time, not all n^2
-    lines = [",".join(map(fmt, row.tolist())) for row in dense]
+    lines = [",".join(map(repr, row.tolist())) for row in op.matrix]
     return "\n".join(lines) + "\n"
 
 
 def to_json_dict(op: AssembledOperator) -> dict:
     """JSON envelope {grid, hbar, provenance, matrix}, the matrix dense."""
-    dense = op.matrix
-    if np.iscomplexobj(dense):
-        matrix = {
-            "real": dense.real.tolist(),
-            "imag": dense.imag.tolist(),
-        }
-    else:
-        matrix = dense.tolist()
     return {
         "grid": {
             "x_min": op.grid.x_min,
@@ -362,5 +356,5 @@ def to_json_dict(op: AssembledOperator) -> dict:
         },
         "hbar": op.hbar,
         "provenance": op.provenance,
-        "matrix": matrix,
+        "matrix": op.matrix.tolist(),
     }

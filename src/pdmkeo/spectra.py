@@ -100,11 +100,11 @@ def hamiltonian(keo: AssembledOperator, potential) -> AssembledOperator:
     return AssembledOperator(bands, keo.grid, keo.hbar, prov)
 
 
-def _max_asymmetry(bands: np.ndarray, conj=lambda z: z) -> float:
-    """max |A[i, j] - conj(A[j, i])| over the band; entries off it are zero."""
+def _max_asymmetry(bands: np.ndarray) -> float:
+    """max |A[i, j] - A[j, i]| over the band; entries off it are zero."""
     half, n = (bands.shape[0] - 1) // 2, bands.shape[1]
     return max(
-        float(np.max(np.abs(bands[half - k, k:] - conj(bands[half + k, :n - k]))))
+        float(np.max(np.abs(bands[half - k, k:] - bands[half + k, :n - k])))
         for k in range(half + 1)
     )
 
@@ -141,10 +141,6 @@ def solve(h: AssembledOperator, k: int) -> SpectrumResult:
     if not 1 <= k <= n:
         raise KeoError(f"need 1 <= k <= n = {n}, got k = {k}")
     bands = h.bands
-    if np.iscomplexobj(bands):
-        if np.max(np.abs(bands.imag)) > 0:
-            raise NotSymmetric(_max_asymmetry(bands, np.conj))
-        bands = bands.real
     scale = float(np.max(np.abs(bands))) or 1.0
     asym = _max_asymmetry(bands)
     if asym > 1e-10 * scale:

@@ -252,6 +252,31 @@ def test_malformed_specs_give_one_line_errors(argv):
     assert "Traceback" not in cp.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--name", "BDD", "--profile", "constant", "--xmax", "inf", "--k", "2"],
+    ["defect", "--name", "BDD", "--profile", "lorentzian", "--hbar", "nan"],
+    ["assemble", "--name", "BDD", "--profile", "constant", "--n", "3", "--xmin=-inf",
+     "--format", "csv"],
+    # finite ends whose spacing overflows
+    ["assemble", "--name", "BDD", "--profile", "constant", "--n", "3", "--xmin=-1e308",
+     "--xmax=1e308"],
+    # a finite hbar whose square overflows
+    ["defect", "--name", "BDD", "--profile", "lorentzian", "--hbar", "1e200"],
+])
+def test_non_finite_grid_and_hbar_are_domain_errors(argv):
+    cp = run_cli(*argv)
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    assert len(cp.stderr.splitlines()) == 1 and cp.stderr.startswith("error:")
+
+
+def test_spectrum_refuses_first_order_orderings():
+    cp = run_cli("spectrum", "--expr", "1/2 * m^(-1) p p", "--profile", "lorentzian")
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    assert cp.stderr == "error: matrix is not symmetric (max |A - A^T| = 2.490e+02)\n"
+
+
 def test_parse_error_diagnostic_includes_position():
     cp = run_cli("params", "--expr", "1/2 * p m^(-1 p")
     assert cp.returncode == 1

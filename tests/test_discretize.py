@@ -29,6 +29,12 @@ def test_grid_validation():
         Grid(0.0, 1.0, 2)
     with pytest.raises(ValueError):
         Grid(1.0, 0.0, 10)
+    inf, nan = float("inf"), float("nan")
+    # the last pair has finite ends but overflows the spacing
+    for x_min, x_max in ((0.0, inf), (-inf, 0.0), (-inf, inf), (nan, 1.0), (0.0, nan),
+                         (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(x_min, x_max, 10)
     g = Grid(0.0, 1.0, 4)
     assert g.h == pytest.approx(0.2)
     assert g.points == pytest.approx([0.2, 0.4, 0.6, 0.8])
@@ -174,14 +180,24 @@ def test_same_point_orderings_agree_at_second_order():
     assert 3.5 <= diffs[0] / diffs[1] <= 4.5
 
 
-def test_nonhermitian_assembly_is_complex_dtype():
-    g = Grid(-1.0, 1.0, 30)
+def test_nonhermitian_assembly_is_real():
     prof = lorentzian(m0=1, lam=1)
     s = spec([(1, -1, 0, 0)])
-    a = assemble_terms(s, prof, g)
-    assert np.iscomplexobj(a.matrix)
-    b = assemble_linear(linear_params(s), prof, g)
-    assert np.iscomplexobj(b.matrix)
+    lp = linear_params(s)
+    for n in (30, 300):
+        g = Grid(-1.0, 1.0, n)
+        for hbar in (1.0, 2.0):
+            for scheme in ("central", "staggered"):
+                assert assemble_terms(s, prof, g, hbar=hbar, scheme=scheme).bands.dtype == np.float64
+                assert assemble_linear(lp, prof, g, hbar=hbar, scheme=scheme).bands.dtype == np.float64
+            # the central kinetic core has zero +-1 diagonals, so the linear
+            # pathway's antisymmetric part equals that of the first-order term
+            # eta (hbar^2/2) diag(u') D exactly (up to the sign of zeros)
+            b = assemble_linear(lp, prof, g, hbar=hbar).matrix
+            first_order = float(lp.eta) * (hbar**2 / 2.0) * (
+                prof.d_inv_m(g.points)[:, None] * derivative_matrix(g)
+            )
+            assert np.array_equal((b - b.T) / 2, (first_order - first_order.T) / 2)
 
 
 def test_antisymmetric_parts_track_hermiticity_defect():
@@ -222,6 +238,20 @@ def test_hbar_scaling_is_exact():
     assert np.array_equal(b2, 4.0 * b1)
 
 
+def test_non_finite_hbar_is_refused():
+    g = Grid(-1.0, 1.0, 10)
+    prof = lorentzian(m0=1, lam=1)
+    s = catalog("BDD")
+    # 1e200 is finite, but the operators scale with hbar^2
+    for hbar in (float("nan"), float("inf"), -float("inf"), 1e200):
+        with pytest.raises(ValueError, match="hbar"):
+            assemble_terms(s, prof, g, hbar=hbar)
+        with pytest.raises(ValueError, match="hbar"):
+            assemble_linear(linear_params(s), prof, g, hbar=hbar)
+    # hbar = 0 is a valid (classical) limit
+    assert not np.any(assemble_terms(s, prof, g, hbar=0.0).bands)
+
+
 def test_exports_round_trip_and_shape():
     g = Grid(0.0, 1.0, 4)
     op = assemble_terms(catalog("BDD"), constant(1), g)
@@ -229,8 +259,7 @@ def test_exports_round_trip_and_shape():
     rows = [line.split(",") for line in csv_text.strip().split("\n")]
     parsed = np.array([[float(v) for v in row] for row in rows])
     assert np.array_equal(parsed, op.matrix)
-    # byte for byte, with the signed zeros off the band and, for eta != 0,
-    # the complex form
+    # byte for byte, with the signed zeros off the band
     assert csv_text == (
         "3.1249999999999996,-0.0,-3.1249999999999996,-0.0\n"
         "-0.0,6.249999999999999,-0.0,-3.1249999999999996\n"
@@ -238,13 +267,17 @@ def test_exports_round_trip_and_shape():
         "-0.0,-3.1249999999999996,-0.0,3.1249999999999996\n"
     )
     params = linear_params(spec([(1, -1, 0, 0)]))  # 1/2 * m^(-1) p p
-    complex_op = assemble_linear(params, lorentzian(), Grid(0.0, 1.0, 3), scheme="staggered")
-    assert to_csv(complex_op) == (
-        "17.25+0.0j,-8.625+0.0j,0.0+0.0j\n"
-        "-10.125+0.0j,20.25+0.0j,-10.125+0.0j\n"
-        "0.0+0.0j,-12.625+0.0j,25.25+0.0j\n"
+    first_order_op = assemble_linear(params, lorentzian(), Grid(0.0, 1.0, 3), scheme="staggered")
+    assert to_csv(first_order_op) == (
+        "17.25,-8.625,0.0\n"
+        "-10.125,20.25,-10.125\n"
+        "0.0,-12.625,25.25\n"
     )
     doc = to_json_dict(op)
     assert doc["grid"]["n"] == 4
     assert doc["provenance"]["pathway"] == "terms"
     assert np.array_equal(np.array(doc["matrix"]), op.matrix)
+    # a plain list of rows of floats for eta != 0 too
+    matrix = to_json_dict(first_order_op)["matrix"]
+    assert matrix == [[17.25, -8.625, 0.0], [-10.125, 20.25, -10.125], [0.0, -12.625, 25.25]]
+    assert all(type(v) is float for row in matrix for v in row)

@@ -216,7 +216,7 @@ ORACLE_SPECS = [catalog(name) for name in (
     "BDD", "GW", "ZK", "MM", "W", "LK", "Lal", "YY",
     "vR(-1/4,-1/2)", "MB(-1/3)", "LKDA(-1/3)", "DA(-1/2)", "DA(1)",
 )] + [
-    spec([(1, -1, 0, 0)]),  # eta = 1: complex, refused by solve
+    spec([(1, -1, 0, 0)]),  # eta = 1: asymmetric, refused by solve
     # Hermitian but not mirrored: discretely asymmetric, refused by solve
     spec([(F(1, 2), F(-3, 4), F(-1, 4), 0), (F(1, 4), 0, F(-1, 2), F(-1, 2)),
           (F(1, 4), 0, 0, -1)]),
@@ -268,8 +268,7 @@ def dense_terms(s, profile, grid, scheme, hbar=1.0):
         c = _dense_mass_power(u, t.gamma)
         core = _dense_core(lambda x: _dense_mass_power(profile.inv_m(x), t.beta), grid, scheme)
         total += float(t.w) * (a[:, None] * core * c[None, :])
-    matrix = -(hbar**2 / 2.0) * total
-    return matrix.astype(complex) if linear_params(s).eta != 0 else matrix
+    return -(hbar**2 / 2.0) * total
 
 
 def dense_linear(params, profile, grid, scheme, hbar=1.0):
@@ -281,7 +280,6 @@ def dense_linear(params, profile, grid, scheme, hbar=1.0):
         matrix = matrix + float(params.eta) * (hbar**2 / 2.0) * (
             du[:, None] * derivative_matrix(grid)
         )
-        matrix = matrix.astype(complex)
     return matrix
 
 
@@ -310,14 +308,12 @@ def test_banded_operators_match_dense_oracle(scheme, profile):
         h = hamiltonian(keo, v)
         dense = h.matrix
         assert _same_bits(dense, keo.matrix + np.diag(v.v(g.points))), s
-        scale = np.max(np.abs(dense.real))
-        refused = (np.max(np.abs(dense.imag)) > 0
-                   or np.max(np.abs(dense.real - dense.real.T)) > 1e-10 * scale)
-        if refused:
+        scale = np.max(np.abs(dense))
+        if np.max(np.abs(dense - dense.T)) > 1e-10 * scale:
             with pytest.raises(NotSymmetric):
                 solve(h, 5)
             continue
-        expected = scipy.linalg.eigh(dense.real, eigvals_only=True, subset_by_index=(0, 4))
+        expected = scipy.linalg.eigh(dense, eigvals_only=True, subset_by_index=(0, 4))
         got = np.array(solve(h, 5).eigenvalues)
         assert np.max(np.abs(got - expected)) <= 1e-12 * scale, s
 
@@ -354,7 +350,7 @@ def test_small_grids_and_single_point_blocks(n, scheme):
                                    scheme=scheme), harmonic())
     scale = np.max(np.abs(h.matrix))
     res = solve(h, n)
-    expected = scipy.linalg.eigh(h.matrix.real, eigvals_only=True)
+    expected = scipy.linalg.eigh(h.matrix, eigvals_only=True)
     assert np.max(np.abs(np.array(res.eigenvalues) - expected)) <= 1e-12 * scale
     assert all(np.isfinite(r) and r <= 1e-9 * scale for r in res.residuals)
 
@@ -369,7 +365,7 @@ def _mixed_bandwidth_pair():
 
 def test_truly_pentadiagonal_operators_match_dense_eigh():
     for h in _mixed_bandwidth_pair():
-        dense = h.matrix.real
+        dense = h.matrix
         expected = scipy.linalg.eigh(dense, eigvals_only=True, subset_by_index=(0, 4))
         res = solve(h, 5)
         scale = np.max(np.abs(dense))
