@@ -281,16 +281,15 @@ def cmd_defect(args) -> dict:
 
 
 def cmd_spectrum(args):
-    from .discretize import assemble_terms
     from .profiles import make_profile
-    from .spectra import hamiltonian, make_potential, solve
+    from .spectra import make_potential, spectrum_of_spec
 
     spec = _resolve_spec(args)
     profile = make_profile(args.profile)
     potential = make_potential(args.potential)
     grid = _grid(args)
-    keo = assemble_terms(spec, profile, grid, hbar=args.hbar, scheme=args.scheme)
-    result = solve(hamiltonian(keo, potential), args.k)
+    result = spectrum_of_spec(spec, profile, potential, grid, args.k, hbar=args.hbar,
+                              scheme=args.scheme)
     lp = linear_params(spec)
     doc = {
         "params": {

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonPositiveMass
-from .ordering import LinearParams, OrderingSpec, _mean, check
+from .ordering import LinearParams, OrderingSpec, _mean, check, linear_params
 from .profiles import MassProfile
 
 SCHEMES = ("central", "staggered")
@@ -58,6 +58,9 @@ class Grid:
             )
         if not self.x_max > self.x_min:
             raise ValueError("need x_max > x_min")
+        # the second-derivative stencils scale with 1/h^2, which must be finite
+        if not (self.h * self.h > 0 and math.isfinite(1 / (self.h * self.h))):
+            raise ValueError(f"need a spacing with a finite 1/h^2, got h = {self.h!r}")
 
     @property
     def h(self) -> float:
@@ -107,15 +110,6 @@ class AssembledOperator:
     def matrix(self) -> np.ndarray:
         """The dense n x n matrix, built on each access (the export form)."""
         return _dense(self.bands)
-
-    def widened(self, half: int) -> np.ndarray:
-        """`bands` padded with off-band entries to half-bandwidth `half`."""
-        pad = half - self.bandwidth
-        if pad == 0:
-            return self.bands
-        out = np.full((2 * half + 1, self.grid.n), self.bands[0, 0])
-        out[pad:pad + self.bands.shape[0]] = self.bands
-        return out
 
     def applied_to(self, psi: np.ndarray) -> np.ndarray:
         """Banded matrix-vector product A @ psi (psi of shape (n,) or (n, m))."""
@@ -326,16 +320,18 @@ def equivalence_defect(
     hbar: float = 1.0,
 ) -> float:
     """||(A_terms - A_linear) psi||_2 / ||psi||_2 for psi sampled from a smooth
-    boundary-vanishing test function; the two-pathway agreement oracle."""
-    from .ordering import linear_params
-
+    boundary-vanishing test function; the two-pathway agreement oracle.
+    A zero or non-finite ||psi||, or a non-finite defect, is a ValueError."""
     a = assemble_terms(spec, profile, grid, hbar=hbar, scheme="central")
     b = assemble_linear(linear_params(spec), profile, grid, hbar=hbar, scheme="central")
     psi = np.asarray(test_function(grid.points), dtype=float)
-    norm = np.linalg.norm(psi)
+    norm = float(np.linalg.norm(psi))
     if norm == 0:
         raise ValueError("test function vanishes identically on the grid")
-    return float(np.linalg.norm(a.applied_to(psi) - b.applied_to(psi)) / norm)
+    defect = float(np.linalg.norm(a.applied_to(psi) - b.applied_to(psi)) / norm)
+    if not (math.isfinite(norm) and math.isfinite(defect)):
+        raise ValueError(f"defect is not finite: ||psi|| = {norm!r}, defect = {defect!r}")
+    return defect
 
 
 def to_csv(op: AssembledOperator) -> str:

@@ -97,10 +97,6 @@ class NonPositiveMass(KeoError):
         )
 
 
-class GridMismatch(KeoError):
-    """Two operators built on different grids cannot be combined."""
-
-
 class NotSymmetric(KeoError):
     """Eigensolver input matrix is not symmetric."""
 

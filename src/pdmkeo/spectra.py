@@ -1,14 +1,13 @@
 """Bound-state spectra of H = T + V and cross-ordering comparisons.
 
-Spectra default to the staggered kinetic scheme (no odd-even grid
-decoupling). H stays banded, and `solve` finds its lowest eigenvalues
-per tridiagonal block by bisection: a staggered H is one tridiagonal
-block, and a central H, whose +-1 diagonals are zero, is two, on the
-even and on the odd grid points. Only a truly pentadiagonal H goes
-through a banded symmetric eigensolver. Each residual is measured for
-the eigenvector that LAPACK returns for the block holding the value.
-Dual-pair spectra are computed and reported side by side without
-asserting equality.
+H is an assembled kinetic operator T plus a potential V(x) on its
+diagonal; spectra default to the staggered scheme (no odd-even grid
+decoupling). `solve` finds the lowest eigenvalues of the banded H per
+tridiagonal block by bisection: a staggered H is one block, and a
+central H, whose +-1 diagonals are zero, is two, on the even and on the
+odd grid points. Each residual is measured for the eigenvector that
+LAPACK returns for the block holding the value. Dual-pair spectra are
+computed and reported side by side without asserting equality.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from .classify import DualityParams, from_duality, invert
 from .discretize import AssembledOperator, Grid, _diagonal_bands, assemble_terms
-from .errors import GridMismatch, KeoError, NotSymmetric
+from .errors import KeoError, NotSymmetric
 from .profiles import MassProfile, _from_spec_text
 
 
@@ -78,25 +77,14 @@ class SpectrumResult:
     residuals: tuple[float, ...]
 
 
-def hamiltonian(keo: AssembledOperator, potential) -> AssembledOperator:
-    """H = T + diag(V). The potential is a PotentialProfile evaluated on the
-    operator's grid, or another AssembledOperator on the same grid."""
-    if isinstance(potential, AssembledOperator):
-        if potential.grid != keo.grid:
-            raise GridMismatch(
-                f"operator grids differ: {keo.grid} vs {potential.grid}"
-            )
-        half = max(keo.bandwidth, potential.bandwidth)
-        bands = keo.widened(half) + potential.widened(half)
-        v_name = potential.provenance.get("potential", "operator")
-    else:
-        v = np.asarray(potential.v(keo.grid.points), dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise KeoError(f"potential {potential.name!r} is not finite on the grid")
-        bands = keo.bands + _diagonal_bands(v, keo.bandwidth)
-        v_name = potential.name
+def hamiltonian(keo: AssembledOperator, potential: PotentialProfile) -> AssembledOperator:
+    """H = T + diag(V), the potential evaluated on the operator's grid."""
+    v = np.asarray(potential.v(keo.grid.points), dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise KeoError(f"potential {potential.name!r} is not finite on the grid")
+    bands = keo.bands + _diagonal_bands(v, keo.bandwidth)
     prov = dict(keo.provenance)
-    prov["potential"] = v_name
+    prov["potential"] = potential.name
     return AssembledOperator(bands, keo.grid, keo.hbar, prov)
 
 
@@ -109,55 +97,38 @@ def _max_asymmetry(bands: np.ndarray) -> float:
     )
 
 
-def _tridiagonal_blocks(bands: np.ndarray) -> list | None:
-    """The independent tridiagonal blocks of the symmetric matrix that the
-    lower half of these bands defines, as (grid points, diagonal,
-    off-diagonal) triples; None for a matrix that is truly pentadiagonal.
-
-    A central-scheme operator has zero +-1 diagonals, so it is the direct
-    sum of a tridiagonal matrix on the even and one on the odd points."""
-    half = (bands.shape[0] - 1) // 2
-    if half == 1:
-        return [(slice(None), bands[1], bands[2, :-1])]
-    if half == 2 and not np.any(bands[3, :-1]):
-        return [(slice(p, None, 2), bands[2, p::2], bands[4, p::2][:-1])
-                for p in (0, 1)]
-    return None
-
-
 def solve(h: AssembledOperator, k: int) -> SpectrumResult:
     """Lowest k eigenvalues of a symmetric banded operator.
 
-    They are the lowest k of the blocks' eigenvalues, each block solved by
-    LAPACK bisection (`eigh_tridiagonal`) in O(m k) for m points; a truly
-    pentadiagonal H (an operator addend of the other bandwidth) goes
-    through `eig_banded`. Each residual is measured on the full H for the
-    eigenvector that the same LAPACK call returns for the block."""
+    With half-bandwidth l, H must have zero diagonals at offsets 1 .. l-1,
+    so that it splits into l tridiagonal blocks, block p on the grid points
+    p, p + l, p + 2l, ... (one block for the staggered scheme, two for the
+    central one). The eigenvalues are the lowest k of the blocks', each
+    block solved by LAPACK bisection (`eigh_tridiagonal`) in O(m k) for m
+    points. Each residual is measured on the full H for the eigenvector
+    that the same LAPACK call returns for the block."""
     # imported here: scipy.linalg is most of the package's import time, and
     # only the eigensolve needs it
-    from scipy.linalg import eig_banded, eigh_tridiagonal
+    from scipy.linalg import eigh_tridiagonal
 
     n = h.grid.n
     if not 1 <= k <= n:
         raise KeoError(f"need 1 <= k <= n = {n}, got k = {k}")
-    bands = h.bands
+    bands, half = h.bands, h.bandwidth
     scale = float(np.max(np.abs(bands))) or 1.0
     asym = _max_asymmetry(bands)
     if asym > 1e-10 * scale:
         raise NotSymmetric(asym)
-    # the lower triangle, as a dense symmetric solver reads it
-    blocks = _tridiagonal_blocks(bands)
-    if blocks is None:
-        vals, vecs = eig_banded(bands[h.bandwidth:], lower=True,
-                                select="i", select_range=(0, k - 1))
-        found = [(value, slice(None), vec) for value, vec in zip(vals, vecs.T)]
-    else:
-        found = []
-        for points, d, e in blocks:
-            vals, vecs = eigh_tridiagonal(d, e, select="i",
-                                          select_range=(0, min(k, d.size) - 1))
-            found += [(value, points, vec) for value, vec in zip(vals, vecs.T)]
-        found = sorted(found, key=lambda f: f[0])[:k]
+    # read the lower triangle, as a dense symmetric solver does
+    if half == 0 or np.any(bands[half + 1:2 * half, :-1]):
+        raise KeoError(f"operator of half-bandwidth {half} does not split into "
+                       f"stride-{half} tridiagonal blocks")
+    found = []
+    for p in range(half):
+        d, e = bands[half, p::half], bands[2 * half, p::half][:-1]
+        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, min(k, d.size) - 1))
+        found += [(value, slice(p, None, half), vec) for value, vec in zip(vals, vecs.T)]
+    found = sorted(found, key=lambda f: f[0])[:k]
     residuals = []
     for value, points, vec in found:
         x = np.zeros(n)

@@ -172,6 +172,17 @@ def test_defect_reports_ratio():
     assert 3.0 <= doc["ratio"] <= 4.5
 
 
+def test_defect_never_prints_non_finite_values():
+    # the grid passes its check, but the bump test function underflows to
+    # 0/0 on so narrow an interval
+    cp = run_cli("defect", "--name", "YY", "--profile", "lorentzian", "--n", "20",
+                 "--xmin=0", "--xmax=1e-100")
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    assert cp.stderr.splitlines()[-1].startswith("error:")
+    assert "Traceback" not in cp.stderr
+
+
 def test_spectrum_command_json_and_csv():
     args = (
         "spectrum", "--name", "BDD", "--profile", "constant:m0=1",
@@ -262,6 +273,13 @@ def test_malformed_specs_give_one_line_errors(argv):
      "--xmax=1e308"],
     # a finite hbar whose square overflows
     ["defect", "--name", "BDD", "--profile", "lorentzian", "--hbar", "1e200"],
+    # spacings so small that h*h underflows to zero or 1/h^2 overflows
+    ["assemble", "--name", "BDD", "--profile", "constant", "--n", "3", "--xmin=0",
+     "--xmax=1e-300"],
+    ["assemble", "--name", "BDD", "--profile", "constant", "--n", "3", "--xmin=0",
+     "--xmax=1e-160"],
+    ["defect", "--name", "BDD", "--profile", "constant", "--n", "3", "--xmin=0",
+     "--xmax=1e-160"],
 ])
 def test_non_finite_grid_and_hbar_are_domain_errors(argv):
     cp = run_cli(*argv)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction as F
@@ -35,6 +37,12 @@ def test_grid_validation():
                          (-1e308, 1e308)):
         with pytest.raises(ValueError, match="finite"):
             Grid(x_min, x_max, 10)
+    # finite spacings whose 1/h^2 is not: h*h underflows to zero, or its
+    # reciprocal overflows
+    for x_min, x_max in ((0.0, 1e-300), (0.0, 1e-160), (-1e-160, 1e-160)):
+        with pytest.raises(ValueError, match="finite 1/h"):
+            Grid(x_min, x_max, 3)
+    Grid(0.0, 1e-150, 3)
     g = Grid(0.0, 1.0, 4)
     assert g.h == pytest.approx(0.2)
     assert g.points == pytest.approx([0.2, 0.4, 0.6, 0.8])
@@ -147,6 +155,22 @@ def test_equivalence_defect_trivial_cases():
     g = Grid(-1.0, 1.0, 50)
     assert equivalence_defect(catalog("W"), constant(1), g, BUMP) == 0.0
     assert equivalence_defect(catalog("BDD"), lorentzian(m0=1, lam=1), g, BUMP) == 0.0
+
+
+def test_equivalence_defect_refuses_non_finite_values():
+    g = Grid(-1.0, 1.0, 50)
+    prof = lorentzian(m0=1, lam=1)
+    cases = [
+        (lambda x: np.full_like(x, np.nan), 1.0),  # ||psi|| is NaN
+        (lambda x: np.full_like(x, 1e300), 1.0),  # ||psi|| overflows
+        # ||psi|| is finite, but H psi overflows in both pathways
+        (lambda x: 1e150 * BUMP(x), 1e100),
+    ]
+    with np.errstate(all="ignore"):
+        assert math.isfinite(float(np.linalg.norm(cases[2][0](g.points))))
+        for psi, hbar in cases:
+            with pytest.raises(ValueError, match="not finite"):
+                equivalence_defect(catalog("YY"), prof, g, psi, hbar=hbar)
 
 
 def test_equivalence_defect_second_order_on_flat_profile():

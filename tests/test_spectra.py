@@ -4,6 +4,7 @@ import scipy.linalg
 from fractions import Fraction as F
 
 from pdmkeo.discretize import (
+    AssembledOperator,
     Grid,
     assemble_linear,
     assemble_terms,
@@ -11,7 +12,7 @@ from pdmkeo.discretize import (
     effective_potential,
     equivalence_defect,
 )
-from pdmkeo.errors import DualOutsideAllowedRegion, GridMismatch, KeoError, NotSymmetric
+from pdmkeo.errors import DualOutsideAllowedRegion, KeoError, NotSymmetric
 from pdmkeo.ordering import catalog, linear_params, spec
 from pdmkeo.profiles import constant, gaussian_bump, lorentzian
 from pdmkeo.spectra import (
@@ -41,27 +42,6 @@ def test_hamiltonian_adds_diagonal():
     h = hamiltonian(keo, harmonic(k=2))
     assert np.allclose(h.matrix - keo.matrix, np.diag(g.points**2), atol=1e-15)
     assert np.max(np.abs(h.matrix - h.matrix.T)) <= 1e-13 * np.max(np.abs(h.matrix))
-
-
-def test_hamiltonian_grid_mismatch():
-    a = assemble_terms(catalog("BDD"), constant(1), Grid(-1.0, 1.0, 20))
-    b = assemble_terms(catalog("BDD"), constant(1), Grid(-1.0, 1.0, 21))
-    with pytest.raises(GridMismatch):
-        hamiltonian(a, b)
-
-
-def test_hamiltonian_accepts_operator_addend():
-    g = Grid(-1.0, 1.0, 20)
-    keo = assemble_terms(catalog("BDD"), constant(1), g)
-    h = hamiltonian(keo, keo)
-    assert np.array_equal(h.matrix, 2 * keo.matrix)
-    # a tridiagonal and a pentadiagonal operand add as their dense matrices
-    prof = lorentzian(m0=1, lam=1)
-    tri = assemble_terms(catalog("ZK"), prof, g, scheme="staggered")
-    penta = assemble_terms(catalog("YY"), prof, g, scheme="central")
-    for h in (hamiltonian(tri, penta), hamiltonian(penta, tri)):
-        assert h.bandwidth == 2
-        assert h.matrix.tobytes() == (tri.matrix + penta.matrix).tobytes()
 
 
 def test_infinite_well_spectrum():
@@ -355,43 +335,18 @@ def test_small_grids_and_single_point_blocks(n, scheme):
     assert all(np.isfinite(r) and r <= 1e-9 * scale for r in res.residuals)
 
 
-def _mixed_bandwidth_pair():
-    g = Grid(-1.0, 1.0, 200)
-    prof = lorentzian(m0=1, lam=1)
-    tri = assemble_terms(catalog("ZK"), prof, g, scheme="staggered")
-    penta = assemble_terms(catalog("YY"), prof, g, scheme="central")
-    return hamiltonian(tri, penta), hamiltonian(penta, tri)
-
-
-def test_truly_pentadiagonal_operators_match_dense_eigh():
-    for h in _mixed_bandwidth_pair():
-        dense = h.matrix
-        expected = scipy.linalg.eigh(dense, eigvals_only=True, subset_by_index=(0, 4))
-        res = solve(h, 5)
-        scale = np.max(np.abs(dense))
-        assert np.max(np.abs(np.array(res.eigenvalues) - expected)) <= 1e-12 * scale
-        assert max(res.residuals) <= 1e-9 * scale
-
-
-def test_band_reduction_only_for_truly_pentadiagonal_operators(monkeypatch):
-    calls = []
-    eig_banded = scipy.linalg.eig_banded
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return eig_banded(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eig_banded", counting)
-    g = Grid(-1.0, 1.0, 200)
-    prof = lorentzian(m0=1, lam=1)
-    for name in ("BDD", "ZK", "YY", "DA(-1/2)"):
-        for scheme in ("staggered", "central"):
-            assert linear_params(catalog(name)).eta == 0
-            solve(hamiltonian(assemble_terms(catalog(name), prof, g, scheme=scheme),
-                              harmonic()), 5)
-    assert calls == []
-    solve(_mixed_bandwidth_pair()[0], 5)
-    assert len(calls) == 1
+def test_solve_refuses_operators_that_do_not_split():
+    g = Grid(-1.0, 1.0, 8)
+    keo = assemble_terms(catalog("YY"), lorentzian(m0=1, lam=1), g, scheme="central")
+    # symmetric, but with nonzero +-1 diagonals next to the +-2 ones
+    bands = keo.bands.copy()
+    bands[1, 1:] = bands[3, :-1] = 0.25
+    coupled = AssembledOperator(bands, g, 1.0)
+    assert np.array_equal(coupled.matrix, coupled.matrix.T)
+    diagonal = AssembledOperator(np.ones((1, g.n)), g, 1.0)
+    for op in (coupled, diagonal):
+        with pytest.raises(KeoError, match="does not split"):
+            solve(op, 2)
 
 
 def test_no_dense_matrix_outside_the_export():
