@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .errors import (
     ConstraintUnsatisfied,
-    DegenerateDenominator,
     DualOutsideAllowedRegion,
     OutsideAllowedRegion,
 )
@@ -177,40 +176,26 @@ def invert(xi, zeta, region: str, float_mode: bool = False) -> OrderingSpec:
         s = _maybe_float(Surd.sqrt(zeta - xi * xi), float_mode)
         alpha, gamma = exact(xi + s), exact(xi - s)
         terms = (_symmetric_term(half, alpha), _symmetric_term(half, gamma))
+    # In the allowed region the class II and III tests leave no vanishing
+    # denominator and put the mixed-term weight w in [0, 1/2]: class II at
+    # xi = 0 forces zeta = 0 (zeta <= -xi/2), and elsewhere zeta >= 2 xi^2 > 0;
+    # class III at xi = -1/2 forces zeta = 1/4, and elsewhere
+    # xi + zeta + 1/4 >= 2 (xi + 1/2)^2 > 0.
     elif region == "II":
         if xi == 0:
-            if zeta != 0:
-                raise DegenerateDenominator("class II formula degenerates at xi = 0 with zeta != 0")
-            terms = (BuildingBlock(1, 0, -1, 0),)  # only (0, 0) qualifies: plain p(1/m)p
+            terms = (BuildingBlock(1, 0, -1, 0),)  # the (0, 0) corner: plain p(1/m)p
         else:
-            w = xi * xi / zeta if zeta != 0 else None
-            if w is None:
-                # zeta = 0 with xi != 0 never satisfies 2 xi^2 <= zeta
-                raise DegenerateDenominator("class II needs zeta > 0 when xi != 0")
-            alpha = zeta / xi
-            terms = (_symmetric_term(w, alpha), BuildingBlock(1 - w, 0, -1, 0))
-            _check_inverted_weight(w, xi, zeta, region)
+            w = xi * xi / zeta
+            terms = (_symmetric_term(w, zeta / xi), BuildingBlock(1 - w, 0, -1, 0))
     else:  # III
-        den = 2 * xi + 1
-        if den == 0:
-            if zeta == Fraction(1, 4):
-                terms = (_symmetric_term(1, -half),)  # the (-1/2, 1/4) corner: pure ZK form
-            else:
-                raise DegenerateDenominator("class III formula degenerates at xi = -1/2 off (zeta = 1/4)")
+        if xi == -half:
+            terms = (_symmetric_term(1, -half),)  # the (-1/2, 1/4) corner: pure ZK form
         else:
             w = (xi + half) ** 2 / (xi + zeta + Fraction(1, 4))
-            alpha = (xi + 2 * zeta) / den
+            alpha = (xi + 2 * zeta) / (2 * xi + 1)
             terms = (_symmetric_term(w, alpha), _symmetric_term(1 - w, -half))
-            _check_inverted_weight(w, xi, zeta, region)
 
     return OrderingSpec(terms, name=name)
-
-
-def _check_inverted_weight(w: Fraction, xi, zeta, region: str) -> None:
-    if not (0 <= w <= Fraction(1, 2)):
-        raise ConstraintUnsatisfied(
-            f"inverted class {region} weight {w} outside [0, 1/2] at ({xi}, {zeta})"
-        )
 
 
 def to_duality(xi, zeta) -> DualityParams:

@@ -1,8 +1,11 @@
 """Command-line interface with machine-readable JSON/CSV output.
 
-Exit codes: 0 success, 1 domain error (single-line diagnostic on stderr,
-no traceback), 2 usage error. Exact quantities cross the boundary as
-rational strings like "-1/3"; grid and physical quantities as decimals.
+Every command takes the parsed arguments and returns (doc, csv_text): the
+JSON document and the CSV text, either of them None when the command has
+no such form or the other format was asked for. Exit codes: 0 success,
+1 domain error (single-line diagnostic on stderr, no traceback), 2 usage
+error. Exact quantities cross the boundary as rational strings like
+"-1/3"; grid and physical quantities as decimals.
 """
 
 from __future__ import annotations
@@ -39,9 +42,7 @@ _NEGATIVE_VALUE_RE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
 def rational_arg(text):
-    if isinstance(text, Fraction):
-        return text
-    text = str(text).strip()
+    text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise argparse.ArgumentTypeError(
             f"expected an exact rational like -1/3, got {text!r}"
@@ -52,17 +53,11 @@ def rational_arg(text):
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
 
 
-def _fmt(value, float_mode=False) -> str:
-    if float_mode:
-        return repr(float(value))
-    return str(value)
-
-
 def _csv(rows) -> str:
     return "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
 
 
-def _emit(args, doc: dict, csv_text=None) -> None:
+def _emit(args, doc, csv_text) -> None:
     if args.format == "csv":
         if csv_text is None:
             raise KeoError("this command has no CSV form; use --format json")
@@ -102,44 +97,41 @@ def _label_doc(label) -> dict:
 
 
 def _bump_psi(grid):
+    # squared after scaling, so psi stays of order one however short [a, b]
     a, b = grid.x_min, grid.x_max
-    scale = ((b - a) / 2.0) ** 4
+    scale = ((b - a) / 2.0) ** 2
 
     def psi(x):
-        return ((x - a) * (b - x)) ** 2 / scale
+        return ((x - a) * (b - x) / scale) ** 2
 
     return psi
 
 
-def cmd_params(args) -> dict:
+def cmd_params(args):
     spec = _resolve_spec(args)
     lp = linear_params(spec)
-    return {"xi": str(lp.xi), "zeta": str(lp.zeta), "eta": str(lp.eta)}
+    return {"xi": str(lp.xi), "zeta": str(lp.zeta), "eta": str(lp.eta)}, None
 
 
-def cmd_classify(args) -> dict:
+def cmd_classify(args):
     labels = _sorted_labels(classify(args.xi, args.zeta))
     return {
         "xi": str(args.xi),
         "zeta": str(args.zeta),
         "labels": [_label_doc(lab) for lab in labels],
-    }
+    }, None
 
 
-def cmd_invert(args) -> dict:
+def cmd_invert(args):
     spec = invert(args.xi, args.zeta, args.cls, float_mode=args.float)
+    fmt = (lambda v: repr(float(v))) if args.float else str
     doc = {
         "class": args.cls,
         "xi": str(args.xi),
         "zeta": str(args.zeta),
         "float_mode": args.float,
         "terms": [
-            {
-                "w": _fmt(t.w, args.float),
-                "alpha": _fmt(t.alpha, args.float),
-                "beta": _fmt(t.beta, args.float),
-                "gamma": _fmt(t.gamma, args.float),
-            }
+            {key: fmt(getattr(t, key)) for key in ("w", "alpha", "beta", "gamma")}
             for t in spec.terms
         ],
     }
@@ -151,10 +143,10 @@ def cmd_invert(args) -> dict:
         doc["expression"] = print_canonical(spec)
     else:
         doc["expression"] = None
-    return doc
+    return doc, None
 
 
-def cmd_dual(args) -> dict:
+def cmd_dual(args):
     d = to_duality(args.xi, args.zeta)
     image = dual(d)
     _, dual_zeta = from_duality(image)
@@ -164,7 +156,7 @@ def cmd_dual(args) -> dict:
         "theta": str(d.theta),
         "dual_theta": str(image.theta),
         "dual_zeta": str(dual_zeta),
-    }
+    }, None
 
 
 TABLE_ENTRIES = (
@@ -183,7 +175,7 @@ TABLE_ENTRIES = (
 )
 
 
-def table_rows() -> list[dict]:
+def cmd_table1(args):
     rows = []
     for name in TABLE_ENTRIES:
         spec = catalog(name)
@@ -200,42 +192,20 @@ def table_rows() -> list[dict]:
                 "eta": str(lp.eta),
             }
         )
-    return rows
-
-
-def cmd_table1(args):
-    rows = table_rows()
-    csv_rows = [["name", "weights", "alpha", "beta", "gamma", "xi", "zeta", "eta"]]
-    for r in rows:
-        csv_rows.append(
-            [
-                r["name"],
-                "|".join(r["weights"]),
-                "|".join(r["alpha"]),
-                "|".join(r["beta"]),
-                "|".join(r["gamma"]),
-                r["xi"],
-                r["zeta"],
-                r["eta"],
-            ]
-        )
+    # the CSV columns are the row keys; a per-term list is one "|"-joined cell
+    csv_rows = [list(rows[0])] + [
+        ["|".join(v) if isinstance(v, list) else v for v in row.values()] for row in rows
+    ]
     return {"rows": rows}, _csv(csv_rows)
 
 
 def cmd_region(args):
-    samples = region_samples(args.resolution)
     points = []
     csv_rows = [["xi", "zeta", "region", "boundaries"]]
-    for xi, zeta, labels in samples:
-        labs = _sorted_labels(labels)
-        points.append(
-            {"xi": str(xi), "zeta": str(zeta), "labels": [_label_doc(lab) for lab in labs]}
-        )
-        for lab in labs:
-            csv_rows.append(
-                [str(xi), str(zeta), lab.region,
-                 "|".join(sorted(lab.boundaries, key=BOUNDARY_NAMES.index))]
-            )
+    for xi, zeta, labels in region_samples(args.resolution):
+        labs = [_label_doc(lab) for lab in _sorted_labels(labels)]
+        points.append({"xi": str(xi), "zeta": str(zeta), "labels": labs})
+        csv_rows += [[xi, zeta, lab["region"], "|".join(lab["boundaries"])] for lab in labs]
     return {"resolution": args.resolution, "points": points}, _csv(csv_rows)
 
 
@@ -255,7 +225,7 @@ def cmd_assemble(args):
     return to_json_dict(op), None
 
 
-def cmd_defect(args) -> dict:
+def cmd_defect(args):
     from .discretize import equivalence_defect
     from .profiles import make_profile
 
@@ -277,7 +247,7 @@ def cmd_defect(args) -> dict:
         "n_refined": fine.n,
         "defect_refined": d_fine,
         "ratio": ratio,
-    }
+    }, None
 
 
 def cmd_spectrum(args):
@@ -391,6 +361,11 @@ def _add_spec_source(p, config):
             help="ordering expression, e.g. '1/2 * p m^(-1) p'")
 
 
+def _add_point(p, config, second="--zeta"):
+    _option(p, config, "--xi", type=rational_arg, required=True)
+    _option(p, config, second, type=rational_arg, required=True)
+
+
 def _add_grid(p, config, default_n=200):
     _option(p, config, "--n", type=int, default=default_n, help="interior grid points")
     _option(p, config, "--xmin", type=float, default=-1.0)
@@ -408,81 +383,65 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     )
     parser._negative_number_matcher = _NEGATIVE_VALUE_RE
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = []
 
-    def add_parser(*a, **kw):
-        p = sub.add_parser(*a, **kw)
+    def add_parser(name, func, **kw):
+        p = sub.add_parser(name, **kw)
         p._negative_number_matcher = _NEGATIVE_VALUE_RE
+        commands.append((p, func))
         return p
 
-    p = add_parser("params", help="linear ambiguity parameters (xi, zeta, eta) of an ordering")
+    p = add_parser("params", cmd_params,
+                   help="linear ambiguity parameters (xi, zeta, eta) of an ordering")
     _add_spec_source(p, config)
-    _add_common(p, config)
-    p.set_defaults(func=lambda a: (cmd_params(a), None))
 
-    p = add_parser("classify", help="class membership of an exact (xi, zeta) point")
-    _option(p, config, "--xi", type=rational_arg, required=True)
-    _option(p, config, "--zeta", type=rational_arg, required=True)
-    _add_common(p, config)
-    p.set_defaults(func=lambda a: (cmd_classify(a), None))
+    p = add_parser("classify", cmd_classify, help="class membership of an exact (xi, zeta) point")
+    _add_point(p, config)
 
-    p = add_parser("invert", help="two-term ordering of a given class at (xi, zeta)")
-    _option(p, config, "--xi", type=rational_arg, required=True)
-    _option(p, config, "--zeta", type=rational_arg, required=True)
+    p = add_parser("invert", cmd_invert, help="two-term ordering of a given class at (xi, zeta)")
+    _add_point(p, config)
     _option(p, config, "--class", dest="cls", choices=REGIONS, required=True)
     _option(p, config, "--float", action="store_true", help="evaluate surds numerically")
-    _add_common(p, config)
-    p.set_defaults(func=lambda a: (cmd_invert(a), None))
 
-    p = add_parser("dual", help="theta -> -theta dual of an allowed (xi, zeta) point")
-    _option(p, config, "--xi", type=rational_arg, required=True)
-    _option(p, config, "--zeta", type=rational_arg, required=True)
-    _add_common(p, config)
-    p.set_defaults(func=lambda a: (cmd_dual(a), None))
+    p = add_parser("dual", cmd_dual, help="theta -> -theta dual of an allowed (xi, zeta) point")
+    _add_point(p, config)
 
-    p = add_parser("table1", help="catalog orderings with their exact (xi, zeta)")
-    _add_common(p, config)
-    p.set_defaults(func=lambda a: cmd_table1(a))
+    add_parser("table1", cmd_table1, help="catalog orderings with their exact (xi, zeta)")
 
-    p = add_parser("region", help="classified rational grid over the allowed region")
+    p = add_parser("region", cmd_region, help="classified rational grid over the allowed region")
     _option(p, config, "--resolution", type=int, default=51)
-    _add_common(p, config)
-    p.set_defaults(func=lambda a: cmd_region(a))
 
-    p = add_parser("assemble", help="dense finite-difference kinetic matrix")
+    p = add_parser("assemble", cmd_assemble, help="dense finite-difference kinetic matrix")
     _add_spec_source(p, config)
     _option(p, config, "--profile", required=True, help="mass profile, e.g. lorentzian:m0=1,lam=1")
     _option(p, config, "--pathway", choices=("terms", "linear"), default="terms")
     _option(p, config, "--scheme", choices=("central", "staggered"), default="central")
     _add_grid(p, config)
-    _add_common(p, config)
-    p.set_defaults(func=lambda a: cmd_assemble(a))
 
-    p = add_parser("defect", help="two-pathway equivalence defect at n and 2n")
+    p = add_parser("defect", cmd_defect, help="two-pathway equivalence defect at n and 2n")
     _add_spec_source(p, config)
     _option(p, config, "--profile", required=True)
     _add_grid(p, config)
-    _add_common(p, config)
-    p.set_defaults(func=lambda a: (cmd_defect(a), None))
 
-    p = add_parser("spectrum", help="lowest eigenvalues of T + V")
+    p = add_parser("spectrum", cmd_spectrum, help="lowest eigenvalues of T + V")
     _add_spec_source(p, config)
     _option(p, config, "--profile", required=True)
     _option(p, config, "--potential", default="zero", help="e.g. zero or harmonic:k=1")
     _option(p, config, "--k", type=int, default=5)
     _option(p, config, "--scheme", choices=("central", "staggered"), default="staggered")
     _add_grid(p, config, default_n=500)
-    _add_common(p, config)
-    p.set_defaults(func=lambda a: cmd_spectrum(a))
 
-    p = add_parser("dualpair", help="side-by-side spectra of a (xi, theta) dual pair")
-    _option(p, config, "--xi", type=rational_arg, required=True)
-    _option(p, config, "--theta", type=rational_arg, required=True)
+    p = add_parser("dualpair", cmd_dualpair, help="side-by-side spectra of a (xi, theta) dual pair")
+    _add_point(p, config, second="--theta")
     _option(p, config, "--profile", required=True)
     _option(p, config, "--potential", default="zero")
     _option(p, config, "--k", type=int, default=5)
     _add_grid(p, config, default_n=500)
-    _add_common(p, config)
-    p.set_defaults(func=lambda a: cmd_dualpair(a))
+
+    # the shared options come last, so they close every command's --help
+    for p, func in commands:
+        _add_common(p, config)
+        p.set_defaults(func=func)
 
     # one config file may serve every subcommand, but a key that sets no
     # option of any of them (a typo, or help and config, which only flags

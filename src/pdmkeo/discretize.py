@@ -94,12 +94,20 @@ class AssembledOperator:
     matrix stand for the entries outside the band: every operation treats
     them like any other entry, so they hold the signed zero that dense
     arithmetic leaves there, and `matrix` writes that value off the band.
+    Every entry is finite: an overflowing operator is a ValueError.
     """
 
     bands: np.ndarray
     grid: Grid
     hbar: float
     provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # hbar^2/h^2 * m^s can overflow though hbar and the grid pass their checks
+        if not np.isfinite(self.bands).all():
+            raise ValueError(
+                f"operator entries are not finite (hbar = {self.hbar!r}, h = {self.grid.h!r})"
+            )
 
     @property
     def bandwidth(self) -> int:

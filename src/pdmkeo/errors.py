@@ -51,10 +51,6 @@ class ConstraintUnsatisfied(KeoError):
     """The point does not satisfy the requested class's defining inequalities."""
 
 
-class DegenerateDenominator(KeoError):
-    """Inversion formula hits a vanishing denominator off its valid locus."""
-
-
 class DualOutsideAllowedRegion(KeoError):
     """The dual image point falls outside the allowed region."""
 

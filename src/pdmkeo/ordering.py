@@ -159,14 +159,9 @@ def is_hermitian(s: OrderingSpec) -> bool:
 def canonicalize(s: OrderingSpec) -> OrderingSpec:
     """Sort terms by (alpha, beta, gamma), merge equal triples, drop zero weights."""
     merged: dict = {}
-    order: list = []
     for t in s.terms:
         key = (t.alpha, t.beta, t.gamma)
-        if key in merged:
-            merged[key] = merged[key] + t.w
-        else:
-            merged[key] = t.w
-            order.append(key)
+        merged[key] = merged[key] + t.w if key in merged else t.w
     keys = sorted(merged)
     terms = tuple(
         BuildingBlock(merged[k], *k) for k in keys if merged[k] != 0

@@ -1,5 +1,7 @@
 import importlib
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +109,29 @@ def test_table1_matches_golden_byte_for_byte():
     assert cp.stdout == GOLDEN.read_text()
 
 
+def test_every_command_follows_one_output_protocol():
+    # the commands without a tabular result refuse --format csv
+    for argv in (
+        ["params", "--name", "YY"],
+        ["classify", "--xi", "-1/3", "--zeta", "1/6"],
+        ["invert", "--xi", "-1/3", "--zeta", "1/6", "--class", "III"],
+        ["dual", "--xi", "-1/4", "--zeta", "0"],
+        ["defect", "--name", "YY", "--profile", "lorentzian", "--n", "20"],
+    ):
+        cp = run_cli(*argv, "--format", "csv")
+        assert cp.returncode == 1 and cp.stdout == "", argv
+        assert cp.stderr == "error: this command has no CSV form; use --format json\n", argv
+    # table1's CSV columns are its JSON row keys, per-term lists joined by |
+    lines = run_cli("table1", "--format", "csv").stdout.splitlines()
+    assert lines[0] == "name,weights,alpha,beta,gamma,xi,zeta,eta"
+    assert "YY,1/3|2/3,0|-1/2,-1|0,0|-1/2,-1/3,1/6,0" in lines
+    # the shared options close every subcommand's --help
+    for name in ("params", "classify", "invert", "dual", "table1", "region", "assemble",
+                 "defect", "spectrum", "dualpair"):
+        flags = re.findall(r"^  (-[-\w]+)", run_cli(name, "--help").stdout, re.MULTILINE)
+        assert flags[-3:] == ["--format", "--output", "--config"], name
+
+
 def test_output_file_and_determinism(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -173,13 +198,36 @@ def test_defect_reports_ratio():
 
 
 def test_defect_never_prints_non_finite_values():
-    # the grid passes its check, but the bump test function underflows to
-    # 0/0 on so narrow an interval
+    # the bump test function stays of order one on so narrow an interval
     cp = run_cli("defect", "--name", "YY", "--profile", "lorentzian", "--n", "20",
                  "--xmin=0", "--xmax=1e-100")
+    assert cp.returncode == 0, cp.stderr
+    doc = json.loads(cp.stdout)
+    assert math.isfinite(doc["defect_n"]) and math.isfinite(doc["defect_refined"])
+    # a defect whose norm overflows is refused, not printed
+    cp = run_cli("defect", "--name", "YY", "--profile", "lorentzian", "--n", "20",
+                 "--xmin=0", "--xmax=1", "--hbar", "1e150")
     assert cp.returncode == 1
     assert cp.stdout == ""
     assert cp.stderr.splitlines()[-1].startswith("error:")
+    assert "Traceback" not in cp.stderr
+
+
+# grid and hbar pass their own checks, but hbar^2/h^2 overflows
+OVERFLOWING = ["--profile", "lorentzian", "--n", "4", "--xmin=0", "--xmax=1e-60", "--hbar", "1e100"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["assemble", "--name", "YY", *OVERFLOWING],
+    ["assemble", "--name", "YY", *OVERFLOWING, "--format", "csv"],
+    ["spectrum", "--name", "YY", *OVERFLOWING, "--k", "2"],
+    ["dualpair", "--xi", "-1/4", "--theta", "1/16", *OVERFLOWING, "--k", "2"],
+])
+def test_overflowing_operator_entries_are_domain_errors(argv):
+    cp = run_cli(*argv)
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    assert cp.stderr.splitlines()[-1].startswith("error: operator entries are not finite")
     assert "Traceback" not in cp.stderr
 
 

@@ -173,6 +173,20 @@ def test_equivalence_defect_refuses_non_finite_values():
                 equivalence_defect(catalog("YY"), prof, g, psi, hbar=hbar)
 
 
+def test_operators_with_overflowing_entries_are_refused():
+    # hbar and the grid are each fine, but hbar^2/h^2 is not a float
+    g = Grid(0.0, 1e-60, 4)
+    prof = lorentzian(m0=1, lam=1)
+    yy = catalog("YY")
+    with np.errstate(all="ignore"):
+        for scheme in ("central", "staggered"):
+            with pytest.raises(ValueError, match="operator entries are not finite"):
+                assemble_terms(yy, prof, g, hbar=1e100, scheme=scheme)
+            with pytest.raises(ValueError, match="operator entries are not finite"):
+                assemble_linear(linear_params(yy), prof, g, hbar=1e100, scheme=scheme)
+        assert np.isfinite(assemble_terms(yy, prof, g, hbar=1e60).bands).all()
+
+
 def test_equivalence_defect_second_order_on_flat_profile():
     prof = cosine_bump(m0=1, lam=1)
     d1 = equivalence_defect(catalog("ZK"), prof, Grid(-1.0, 1.0, 200), BUMP)
