@@ -8,14 +8,19 @@ overlapping two-parameter classes cover it:
     II  : 2 xi^2 <= zeta                    (symmetric term mixed with p(1/m)p)
     III : (xi+1/2)^2 + xi^2 <= zeta         (symmetric term mixed with ZK)
 
-Shared boundary curves get named flags; each class can be inverted back
-to a concrete two-term ordering that reproduces (xi, zeta) exactly. The
-theta = zeta - xi^2 coordinate exposes a duality that reflects vR points
-onto class-I points with the same {alpha, gamma}.
+Shared boundary curves get named flags. The region, the classes and the
+curves are each stated once, as exact integer tests of the point scaled
+to (x/d, z/d) over an even denominator d (`_outside`, `_tests`). Each
+class can be inverted back to a concrete two-term ordering that
+reproduces (xi, zeta) exactly. The theta = zeta - xi^2 coordinate
+exposes a duality that reflects vR points onto class-I points with the
+same {alpha, gamma}.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,45 +81,58 @@ def _rat(x) -> Fraction:
     return value
 
 
+def _scaled(xi: Fraction, zeta: Fraction) -> tuple[int, int, int]:
+    """(x, z, d) with (xi, zeta) = (x/d, z/d) and d even."""
+    d = 2 * math.lcm(xi.denominator, zeta.denominator)
+    return xi.numerator * (d // xi.denominator), zeta.numerator * (d // zeta.denominator), d
+
+
+def _outside(x: int, z: int, d: int) -> str | None:
+    """Why (x/d, z/d) breaks 1/4 >= -xi/2 >= zeta >= 0, or None."""
+    if z < 0:
+        return "zeta < 0"
+    if 2 * z > -x:
+        return "zeta > -xi/2"
+    if -2 * x > d:
+        return "-xi/2 > 1/4 (xi < -1/2)"
+    return None
+
+
+def _tests(x: int, z: int, d: int) -> tuple[bool, ...]:
+    """Class memberships (REGIONS order), then curve flags (BOUNDARY_NAMES
+    order), of the point (x/d, z/d) with d even: each test of xi and zeta
+    is an integer comparison scaled by d^2."""
+    zd, mb = z * d, x * x
+    i_ii, i_iii = 2 * mb, mb + (x + d // 2) ** 2
+    return (
+        zd <= mb, mb <= zd <= min(i_iii, i_ii), i_ii <= zd, i_iii <= zd,
+        zd == mb, zd == i_ii, zd == i_iii, 2 * z == -x, z == 0,
+    )
+
+
+@functools.cache
+def _labels(tests: tuple[bool, ...]) -> tuple[ClassLabel, ...]:
+    """The labels of a `_tests` tuple, built once for each of its few values."""
+    flags = frozenset(b for b, on in zip(BOUNDARY_NAMES, tests[len(REGIONS):]) if on)
+    return tuple(
+        ClassLabel(region, flags & _INCIDENT[region])
+        for region, inside in zip(REGIONS, tests)
+        if inside
+    )
+
+
 def in_allowed_region(xi, zeta) -> bool:
     """Exact test of 1/4 >= -xi/2 >= zeta >= 0."""
-    xi, zeta = _rat(xi), _rat(zeta)
-    return Fraction(1, 4) >= -xi / 2 and -xi / 2 >= zeta and zeta >= 0
+    return _outside(*_scaled(_rat(xi), _rat(zeta))) is None
 
 
-def _require_allowed(xi: Fraction, zeta: Fraction) -> None:
-    if zeta < 0:
-        raise OutsideAllowedRegion(xi, zeta, "zeta < 0")
-    if zeta > -xi / 2:
-        raise OutsideAllowedRegion(xi, zeta, "zeta > -xi/2")
-    if -xi / 2 > Fraction(1, 4):
-        raise OutsideAllowedRegion(xi, zeta, "-xi/2 > 1/4 (xi < -1/2)")
-
-
-def _region_tests(xi: Fraction, zeta: Fraction) -> dict[str, bool]:
-    mb = xi * xi
-    cap_i = min(mb + (xi + Fraction(1, 2)) ** 2, 2 * mb)
-    return {
-        "vR": zeta <= mb,
-        "I": mb <= zeta <= cap_i,
-        "II": 2 * mb <= zeta,
-        "III": mb + (xi + Fraction(1, 2)) ** 2 <= zeta,
-    }
-
-
-def _boundary_flags(xi: Fraction, zeta: Fraction) -> frozenset[str]:
-    flags = set()
-    if zeta == xi * xi:
-        flags.add(MB_LINE)
-    if zeta == 2 * xi * xi:
-        flags.add(I_II_LINE)
-    if zeta == (xi + Fraction(1, 2)) ** 2 + xi * xi:
-        flags.add(I_III_LINE)
-    if zeta == -xi / 2:
-        flags.add(UPPER_LINE)
-    if zeta == 0:
-        flags.add(LOWER_LINE)
-    return frozenset(flags)
+def _require_allowed(xi: Fraction, zeta: Fraction) -> tuple[int, int, int]:
+    """The scaled point (x, z, d) of an allowed (xi, zeta)."""
+    point = _scaled(xi, zeta)
+    reason = _outside(*point)
+    if reason:
+        raise OutsideAllowedRegion(xi, zeta, reason)
+    return point
 
 
 def classify(xi, zeta) -> set[ClassLabel]:
@@ -123,15 +141,7 @@ def classify(xi, zeta) -> set[ClassLabel]:
     Regions overlap, so boundary points belong to every adjacent class;
     each label carries the boundary flags incident to its own region.
     """
-    xi, zeta = _rat(xi), _rat(zeta)
-    _require_allowed(xi, zeta)
-    flags = _boundary_flags(xi, zeta)
-    members = _region_tests(xi, zeta)
-    return {
-        ClassLabel(region, flags & _INCIDENT[region])
-        for region in REGIONS
-        if members[region]
-    }
+    return set(_labels(_tests(*_require_allowed(_rat(xi), _rat(zeta)))))
 
 
 def _symmetric_term(w, a) -> BuildingBlock:
@@ -156,8 +166,7 @@ def invert(xi, zeta, region: str, float_mode: bool = False) -> OrderingSpec:
     xi, zeta = _rat(xi), _rat(zeta)
     if region not in REGIONS:
         raise ConstraintUnsatisfied(f"unknown class {region!r}; expected one of {REGIONS}")
-    _require_allowed(xi, zeta)
-    if not _region_tests(xi, zeta)[region]:
+    if not _tests(*_require_allowed(xi, zeta))[REGIONS.index(region)]:
         raise ConstraintUnsatisfied(
             f"({xi}, {zeta}) does not satisfy the class {region} constraint"
         )
@@ -229,30 +238,15 @@ def region_samples(resolution: int):
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     steps = resolution - 1
-    # every point is (x/d, z/d) over the shared denominator d, so each test
-    # of classify becomes an integer comparison scaled by d^2
+    # every point is (x/d, z/d) over the shared denominator d
     d = 4 * steps
     zetas = [Fraction(z, d) for z in range(steps + 1)]
-    labels = {}  # region and boundary tests -> the labels classify builds
     out = []
     for i in range(resolution):
         x = 2 * (i - steps)
         xi = Fraction(x, d)
-        mb, i_ii, i_iii = x * x, 2 * x * x, x * x + (x + d // 2) ** 2
         for z, zeta in enumerate(zetas):
             if 2 * z > -x:  # zeta > -xi/2: the rest of the column is outside
                 break
-            zd = z * d
-            tests = (
-                zd <= mb, mb <= zd <= min(i_iii, i_ii), i_ii <= zd, i_iii <= zd,
-                zd == mb, zd == i_ii, zd == i_iii, 2 * z == -x, z == 0,
-            )
-            if tests not in labels:
-                flags = frozenset(b for b, on in zip(BOUNDARY_NAMES, tests[4:]) if on)
-                labels[tests] = tuple(
-                    ClassLabel(region, flags & _INCIDENT[region])
-                    for region, inside in zip(REGIONS, tests[:4])
-                    if inside
-                )
-            out.append((xi, zeta, set(labels[tests])))
+            out.append((xi, zeta, set(_labels(_tests(x, z, d)))))
     return out

@@ -14,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 from .classify import (
@@ -471,15 +472,21 @@ def _config_defaults(argv) -> dict:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        parser = build_parser(_config_defaults(argv))
-        args = parser.parse_args(argv)
-        doc, csv_text = args.func(args)
-        _emit(args, doc, csv_text)
-        return 0
-    except (KeoError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # warnings (numpy's floating-point ones) are recorded, not shown with
+    # their source line: a domain error prints only its error line, and a
+    # successful run one "warning:" line for each
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            parser = build_parser(_config_defaults(argv))
+            args = parser.parse_args(argv)
+            doc, csv_text = args.func(args)
+            _emit(args, doc, csv_text)
+        except (KeoError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,12 +13,17 @@ reduction of a multi-term ordering to its linear parameters.
 
 Both pathways support a 'central' scheme (pure central-difference
 composition, exactly antisymmetric momentum, used by the oracle) and a
-'staggered' scheme (three-point divergence form with half-grid mass
-sampling, free of odd-even decoupling, used for spectra).
+'staggered' scheme (half-grid mass sampling, free of odd-even
+decoupling, used for spectra). One stencil, `_core`, builds the kinetic
+core d/dx b d/dx of both: the three-point divergence form on the whole
+grid (staggered, b at the midpoints), or on the even and on the odd grid
+points with spacing 2h (central, b at the grid points between them),
+which is D diag(b) D.
 
 Every operator is banded, pentadiagonal under the central scheme and
 tridiagonal under the staggered one, and is assembled, added and applied
-as its diagonals in O(n). `AssembledOperator.matrix` is the one dense
+as its diagonals in O(n). An ordering with eta = 0 assembles to an
+exactly symmetric operator. `AssembledOperator.matrix` is the one dense
 form, built on demand for export and for tests.
 """
 
@@ -35,8 +40,9 @@ from .ordering import LinearParams, OrderingSpec, _mean, check, linear_params
 from .profiles import MassProfile
 
 SCHEMES = ("central", "staggered")
-# half-bandwidth of each scheme's operator: D diag(b) D spans two
-# neighbours on each side, the three-point divergence form one
+# half-bandwidth of each scheme's operator, the stride of its three-point
+# stencil: D diag(b) D couples grid points two apart, the staggered form
+# neighbours
 _HALF_BANDWIDTH = {"central": 2, "staggered": 1}
 
 
@@ -194,29 +200,20 @@ def _mass_power(u: np.ndarray, s: float) -> np.ndarray:
     return u ** (-s)
 
 
-def _central_core(b: np.ndarray, h: float) -> np.ndarray:
-    """D diag(b) D as the five bands of a pentadiagonal matrix."""
-    n = b.size
-    w = 1.0 / (4 * h * h)
-    diag = np.zeros(n)
-    diag[1:] += b[:-1]
-    diag[:-1] += b[1:]
-    bands = np.zeros((5, n))
-    bands[2] = -w * diag
-    bands[0, 2:] = w * b[1:-1]
-    bands[4, :-2] = w * b[1:-1]
-    return bands
-
-
-def _staggered_core(b_mid: np.ndarray, h: float) -> np.ndarray:
-    """-G^T diag(b_mid) G, the three-point divergence form of d/dx b d/dx,
-    as the three bands of a tridiagonal matrix."""
-    n = b_mid.size - 1
-    w = 1.0 / (h * h)
-    bands = np.zeros((3, n))
-    bands[1] = -w * (b_mid[:-1] + b_mid[1:])
-    bands[0, 1:] = w * b_mid[1:-1]
-    bands[2, :-1] = w * b_mid[1:-1]
+def _core(b: np.ndarray, h: float, half: int) -> np.ndarray:
+    """d/dx b d/dx as the three-point divergence stencil on each stride-`half`
+    sublattice (spacing half*h), b sampled halfway between its neighbours:
+    the n+1 midpoint samples for half = 1, the n grid-point samples for
+    half = 2 (which makes it D diag(b) D), padded with half - 1 zeros at each
+    end for the Dirichlet points beyond the grid."""
+    pad = np.zeros(half - 1)
+    b = np.concatenate((pad, b, pad))
+    n = b.size - half
+    s = half * h
+    w = 1.0 / (s * s)
+    bands = np.zeros((2 * half + 1, n))
+    bands[half] = -w * (b[:n] + b[half:])
+    bands[0, half:] = bands[2 * half, :-half] = w * b[half:n]
     return bands
 
 
@@ -228,13 +225,12 @@ def assemble_terms(
     scheme: str = "central",
 ) -> AssembledOperator:
     """Term-by-term banded composition of a weighted multi-term ordering:
-    each term m^a p m^b p m^c contributes diag(m^a) core(m^b) diag(m^c)."""
+    each term m^a p m^b p m^c contributes diag(m^a) core(m^b) diag(m^c).
+    An ordering with eta = 0 gives the exactly symmetric (A + A^T)/2."""
     check(spec)
     _require_scheme_and_hbar(scheme, hbar)
-    x = grid.points
-    u = _inverse_mass_at(profile, x)
-    if scheme == "staggered":
-        u_mid = _inverse_mass_at(profile, grid.midpoints)
+    u = _inverse_mass_at(profile, grid.points)
+    u_core = u if scheme == "central" else _inverse_mass_at(profile, grid.midpoints)
     half = _HALF_BANDWIDTH[scheme]
     total = np.zeros((2 * half + 1, grid.n))
     for i, t in enumerate(spec.terms):
@@ -243,14 +239,19 @@ def assemble_terms(
         )
         a = _row_values(_mass_power(u, alpha), half)
         c = _mass_power(u, gamma)
-        if scheme == "central":
-            core = _central_core(_mass_power(u, beta), grid.h)
-        else:
-            core = _staggered_core(_mass_power(u_mid, beta), grid.h)
+        core = _core(_mass_power(u_core, beta), grid.h, half)
         # entrywise a[i] * core[i, j] * c[j], in the dense product's order
         total += w * (a * core * c)
     bands = -(hbar**2 / 2.0) * total
     eta = _mean(spec, "gamma") - _mean(spec, "alpha")
+    if eta == 0:
+        # Hermitian in the continuum, so made exactly symmetric: (A + A^T)/2.
+        # A[i, j] and A[j, i] differ by rounding for mirrored terms, and by
+        # O(h^3) relative to max|A| for orderings that are not mirrored. The
+        # stencil's stride leaves nonzero entries only at offsets 0 and +-half
+        mean = bands[0, half:] + bands[2 * half, :-half]
+        mean /= 2
+        bands[0, half:] = bands[2 * half, :-half] = mean
     prov = {
         "pathway": "terms",
         "scheme": scheme,
@@ -288,13 +289,9 @@ def assemble_linear(
     _require_scheme_and_hbar(scheme, hbar)
     x = grid.points
     u = _inverse_mass_at(profile, x)
-    if scheme == "central":
-        kinetic = -(hbar**2 / 2.0) * _central_core(u, grid.h)
-    else:
-        kinetic = -(hbar**2 / 2.0) * _staggered_core(
-            _inverse_mass_at(profile, grid.midpoints), grid.h
-        )
+    u_core = u if scheme == "central" else _inverse_mass_at(profile, grid.midpoints)
     half = _HALF_BANDWIDTH[scheme]
+    kinetic = -(hbar**2 / 2.0) * _core(u_core, grid.h, half)
     bands = kinetic + _diagonal_bands(effective_potential(params, profile, x, hbar), half)
     if params.eta != 0:
         # first-order term eta (i hbar / 2) (1/m)' p in position representation

@@ -6,8 +6,10 @@ decoupling). `solve` finds the lowest eigenvalues of the banded H per
 tridiagonal block by bisection: a staggered H is one block, and a
 central H, whose +-1 diagonals are zero, is two, on the even and on the
 odd grid points. Each residual is measured for the eigenvector that
-LAPACK returns for the block holding the value. Dual-pair spectra are
-computed and reported side by side without asserting equality.
+LAPACK returns for the block holding the value. Every eta = 0 ordering
+assembles exactly symmetric and solves, mirrored or not; an eta != 0
+operator is refused as NotSymmetric. Dual-pair spectra are computed and
+reported side by side without asserting equality.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ class SpectrumResult:
     """
 
     eigenvalues: tuple[float, ...]
-    count_requested: int
     grid: Grid
     provenance: dict
     residuals: tuple[float, ...]
@@ -136,7 +137,6 @@ def solve(h: AssembledOperator, k: int) -> SpectrumResult:
         residuals.append(float(np.linalg.norm(h.applied_to(x) - value * x)))
     return SpectrumResult(
         eigenvalues=tuple(float(f[0]) for f in found),
-        count_requested=k,
         grid=h.grid,
         provenance=dict(h.provenance),
         residuals=tuple(residuals),

@@ -209,8 +209,8 @@ def test_defect_never_prints_non_finite_values():
                  "--xmin=0", "--xmax=1", "--hbar", "1e150")
     assert cp.returncode == 1
     assert cp.stdout == ""
-    assert cp.stderr.splitlines()[-1].startswith("error:")
-    assert "Traceback" not in cp.stderr
+    [line] = cp.stderr.splitlines()
+    assert line.startswith("error: defect is not finite")
 
 
 # grid and hbar pass their own checks, but hbar^2/h^2 overflows
@@ -227,8 +227,31 @@ def test_overflowing_operator_entries_are_domain_errors(argv):
     cp = run_cli(*argv)
     assert cp.returncode == 1
     assert cp.stdout == ""
-    assert cp.stderr.splitlines()[-1].startswith("error: operator entries are not finite")
-    assert "Traceback" not in cp.stderr
+    [line] = cp.stderr.splitlines()
+    assert line.startswith("error: operator entries are not finite")
+
+
+def test_warnings_are_one_line_each(monkeypatch, capsys):
+    import warnings
+
+    from pdmkeo import cli
+
+    def warns(args, fails=False):
+        cli._resolve_spec(args)  # prints the validate warnings of DA(1)
+        warnings.warn("overflow encountered in multiply", RuntimeWarning)
+        if fails:
+            raise ValueError("not finite")
+        return {}, None
+
+    validate = ("warning: term 2: exponent(s) outside [-1, 0]: alpha=1, beta=-2\n"
+                "warning: term 3: exponent(s) outside [-1, 0]: beta=-2, gamma=1\n")
+    monkeypatch.setattr(cli, "cmd_params", warns)
+    assert cli.main(["params", "--name", "DA(1)"]) == 0
+    assert capsys.readouterr().err == validate + "warning: overflow encountered in multiply\n"
+    # a domain error prints its one error line after the validate warnings
+    monkeypatch.setattr(cli, "cmd_params", lambda args: warns(args, fails=True))
+    assert cli.main(["params", "--name", "DA(1)"]) == 1
+    assert capsys.readouterr().err == validate + "error: not finite\n"
 
 
 def test_spectrum_command_json_and_csv():

@@ -1,6 +1,7 @@
-"""Property-based oracles for the exact algebra: parser fixpoints, exact
-inversion round trips, the duality involution and surd comparisons,
-checked on generated inputs instead of hand-picked catalog entries."""
+"""Property-based oracles: parser fixpoints, exact inversion round trips,
+the duality involution, classification against its reference, surd
+comparisons and the exact symmetry of every Hermitian assembly, checked
+on generated inputs instead of hand-picked catalog entries."""
 
 from fractions import Fraction as F
 
@@ -11,9 +12,10 @@ hypothesis = pytest.importorskip("hypothesis", exc_type=ImportError)
 
 from hypothesis import given, settings, strategies as st
 
-from pdmkeo.classify import classify, dual, invert, to_duality
-from pdmkeo.errors import DualOutsideAllowedRegion
-from pdmkeo.ordering import BuildingBlock, OrderingSpec, linear_params
+from classify_reference import reference_classify
+from pdmkeo.classify import classify, dual, in_allowed_region, invert, to_duality
+from pdmkeo.errors import DualOutsideAllowedRegion, OutsideAllowedRegion
+from pdmkeo.ordering import BuildingBlock, OrderingSpec, linear_params, spec
 from pdmkeo.parser import parse, print_canonical
 from pdmkeo.surds import Surd
 
@@ -68,6 +70,32 @@ def test_inversion_round_trips_in_every_class(point):
             assert 0 <= w <= F(1, 2)
 
 
+@st.composite
+def points_on_curves(draw):
+    """xi in [-1/2, 0] and zeta on one of the boundary curves, allowed or not."""
+    xi = -draw(unit) / 2
+    return xi, draw(st.sampled_from(
+        [xi * xi, 2 * xi * xi, (xi + F(1, 2)) ** 2 + xi * xi, -xi / 2, F(0)]))
+
+
+wide = st.fractions(min_value=-1, max_value=1, max_denominator=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(allowed_points(), points_on_curves(), st.tuples(wide, wide)))
+def test_classify_matches_the_reference(point):
+    try:
+        expected = reference_classify(*point)
+    except OutsideAllowedRegion as exc:
+        with pytest.raises(OutsideAllowedRegion) as got:
+            classify(*point)
+        assert str(got.value) == str(exc)
+        assert not in_allowed_region(*point)
+        return
+    assert classify(*point) == expected
+    assert in_allowed_region(*point)
+
+
 @settings(max_examples=150, deadline=None)
 @given(allowed_points())
 def test_dual_is_an_involution_where_defined(point):
@@ -97,3 +125,31 @@ def test_surd_order_and_equality_agree_with_mpmath(a1, b1, d1, a2, b2, d2):
         assert (x == y) == (abs(diff) < tol)
         assert (x < y) == (diff < -tol)
         assert (y < x) == (diff > tol)
+
+
+@st.composite
+def unmirrored_hermitian(draw):
+    """eta = 0 without mirrored pairs: two terms whose gamma - alpha have
+    opposite signs, weighted to cancel, plus a symmetric filler."""
+    quarter = st.fractions(min_value=-1, max_value=0, max_denominator=4)
+    a1, g1 = draw(quarter), draw(quarter.filter(lambda g: g != 0))
+    a1 = min(a1, g1 - F(1, 4))  # gamma - alpha > 0
+    a2, g2 = draw(quarter), draw(quarter)
+    g2 = min(g2, a2 - F(1, 4))  # gamma - alpha < 0
+    w1 = draw(st.fractions(min_value=F(1, 8), max_value=F(1, 2), max_denominator=8))
+    w2 = w1 * (g1 - a1) / (a2 - g2)
+    a3 = draw(quarter)
+    return spec([(w1, a1, -1 - a1 - g1, g1), (w2, a2, -1 - a2 - g2, g2),
+                 (1 - w1 - w2, a3, -1 - 2 * a3, a3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(unmirrored_hermitian(), st.sampled_from(["central", "staggered"]), st.integers(3, 40))
+def test_every_hermitian_ordering_assembles_exactly_symmetric(s, scheme, n):
+    from pdmkeo.discretize import Grid, assemble_terms
+    from pdmkeo.profiles import gaussian_bump, lorentzian
+
+    assert linear_params(s).eta == 0
+    for prof in (lorentzian(m0=1, lam=1), gaussian_bump(m0=1, lam=1, sigma=F(1, 4))):
+        a = assemble_terms(s, prof, Grid(-1.0, 1.0, n), scheme=scheme).matrix
+        assert (a == a.T).all()

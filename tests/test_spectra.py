@@ -28,6 +28,10 @@ from pdmkeo.spectra import (
 
 WELL_LEVELS = (0.5, 2.0, 4.5, 8.0, 12.5)
 
+# Hermitian (eta = 0) but not built from mirrored pairs
+UNMIRRORED = spec([(F(1, 2), F(-3, 4), F(-1, 4), 0), (F(1, 4), 0, F(-1, 2), F(-1, 2)),
+                   (F(1, 4), 0, 0, -1)])
+
 
 def test_hamiltonian_zero_potential_is_identity_on_keo():
     g = Grid(-1.0, 1.0, 20)
@@ -74,6 +78,24 @@ def test_solve_rejects_asymmetric():
     op = assemble_terms(spec([(1, -1, 0, 0)]), prof, g)
     with pytest.raises(NotSymmetric):
         solve(hamiltonian(op, zero_potential()), 2)
+
+
+@pytest.mark.parametrize("scheme", ["central", "staggered"])
+@pytest.mark.parametrize("n", [100, 400])
+def test_unmirrored_hermitian_ordering_solves(n, scheme):
+    # its terms' A[i, j] and A[j, i] differ by O(h^3) before the symmetrization;
+    # the mirror-averaged ordering sum w/2 (m^a p m^b p m^g + m^g p m^b p m^a)
+    # is the same operator in the continuum and symmetric term by term
+    prof, g = lorentzian(m0=1, lam=1), Grid(-1.0, 1.0, n)
+    h = hamiltonian(assemble_terms(UNMIRRORED, prof, g, scheme=scheme), harmonic())
+    assert np.array_equal(h.matrix, h.matrix.T)
+    res = solve(h, 5)
+    scale = np.max(np.abs(h.bands))
+    assert max(res.residuals) <= 1e-14 * scale
+    mirrored = spec([term for t in UNMIRRORED.terms for term in (
+        (t.w / 2, t.alpha, t.beta, t.gamma), (t.w / 2, t.gamma, t.beta, t.alpha))])
+    ref = solve(hamiltonian(assemble_terms(mirrored, prof, g, scheme=scheme), harmonic()), 5)
+    assert np.max(np.abs(np.array(res.eigenvalues) - ref.eigenvalues)) <= 1e-12 * scale
 
 
 def box_eigenvalues(grid, scheme, m0, k):
@@ -197,9 +219,7 @@ ORACLE_SPECS = [catalog(name) for name in (
     "vR(-1/4,-1/2)", "MB(-1/3)", "LKDA(-1/3)", "DA(-1/2)", "DA(1)",
 )] + [
     spec([(1, -1, 0, 0)]),  # eta = 1: asymmetric, refused by solve
-    # Hermitian but not mirrored: discretely asymmetric, refused by solve
-    spec([(F(1, 2), F(-3, 4), F(-1, 4), 0), (F(1, 4), 0, F(-1, 2), F(-1, 2)),
-          (F(1, 4), 0, 0, -1)]),
+    UNMIRRORED,  # eta = 0: averaged with its transpose, so it solves
 ]
 
 
@@ -248,7 +268,10 @@ def dense_terms(s, profile, grid, scheme, hbar=1.0):
         c = _dense_mass_power(u, t.gamma)
         core = _dense_core(lambda x: _dense_mass_power(profile.inv_m(x), t.beta), grid, scheme)
         total += float(t.w) * (a[:, None] * core * c[None, :])
-    return -(hbar**2 / 2.0) * total
+    matrix = -(hbar**2 / 2.0) * total
+    if linear_params(s).eta == 0:
+        matrix = (matrix + matrix.T) / 2
+    return matrix
 
 
 def dense_linear(params, profile, grid, scheme, hbar=1.0):
