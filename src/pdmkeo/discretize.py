@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonPositiveMass
-from .ordering import LinearParams, OrderingSpec, _mean, check, linear_params
+from .ordering import LinearParams, OrderingSpec, linear_params
 from .profiles import MassProfile
 
 SCHEMES = ("central", "staggered")
@@ -227,7 +227,6 @@ def assemble_terms(
     """Term-by-term banded composition of a weighted multi-term ordering:
     each term m^a p m^b p m^c contributes diag(m^a) core(m^b) diag(m^c).
     An ordering with eta = 0 gives the exactly symmetric (A + A^T)/2."""
-    check(spec)
     _require_scheme_and_hbar(scheme, hbar)
     u = _inverse_mass_at(profile, grid.points)
     u_core = u if scheme == "central" else _inverse_mass_at(profile, grid.midpoints)
@@ -243,7 +242,8 @@ def assemble_terms(
         # entrywise a[i] * core[i, j] * c[j], in the dense product's order
         total += w * (a * core * c)
     bands = -(hbar**2 / 2.0) * total
-    eta = _mean(spec, "gamma") - _mean(spec, "alpha")
+    mean_alpha, mean_gamma, _ = spec._means
+    eta = mean_gamma - mean_alpha
     if eta == 0:
         # Hermitian in the continuum, so made exactly symmetric: (A + A^T)/2.
         # A[i, j] and A[j, i] differ by rounding for mirrored terms, and by
@@ -268,14 +268,22 @@ def effective_potential(
 ):
     """Multiplicative reordering potential (hbar^2/2) [xi (1/m)'' + zeta ((1/m)')^2 m]."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    u = _inverse_mass_at(profile, xs)
-    du = np.asarray(profile.d_inv_m(xs), dtype=float)
-    ddu = np.asarray(profile.dd_inv_m(xs), dtype=float)
-    xi, zeta = _as_float(params.xi, "xi"), _as_float(params.zeta, "zeta")
-    out = (hbar**2 / 2.0) * (xi * ddu + zeta * du**2 / u)
+    out = _effective_potential(params, *_inverse_mass_and_derivatives(profile, xs), hbar)
     if np.ndim(x) == 0:
         return float(out[0])
     return out
+
+
+def _inverse_mass_and_derivatives(profile: MassProfile, x: np.ndarray):
+    """Samples of 1/m, (1/m)' and (1/m)'' at x."""
+    return (_inverse_mass_at(profile, x), np.asarray(profile.d_inv_m(x), dtype=float),
+            np.asarray(profile.dd_inv_m(x), dtype=float))
+
+
+def _effective_potential(params: LinearParams, u, du, ddu, hbar: float) -> np.ndarray:
+    """`effective_potential` from samples of 1/m and its two derivatives."""
+    xi, zeta = _as_float(params.xi, "xi"), _as_float(params.zeta, "zeta")
+    return (hbar**2 / 2.0) * (xi * ddu + zeta * du**2 / u)
 
 
 def assemble_linear(
@@ -287,17 +295,15 @@ def assemble_linear(
 ) -> AssembledOperator:
     """Canonical assembly p(1/m)p/2 + defect term + effective potential."""
     _require_scheme_and_hbar(scheme, hbar)
-    x = grid.points
-    u = _inverse_mass_at(profile, x)
+    u, du, ddu = _inverse_mass_and_derivatives(profile, grid.points)
     u_core = u if scheme == "central" else _inverse_mass_at(profile, grid.midpoints)
     half = _HALF_BANDWIDTH[scheme]
     kinetic = -(hbar**2 / 2.0) * _core(u_core, grid.h, half)
-    bands = kinetic + _diagonal_bands(effective_potential(params, profile, x, hbar), half)
+    bands = kinetic + _diagonal_bands(_effective_potential(params, u, du, ddu, hbar), half)
     if params.eta != 0:
         # first-order term eta (i hbar / 2) (1/m)' p in position representation
-        du = _row_values(np.asarray(profile.d_inv_m(x), dtype=float), half)
         bands = bands + _as_float(params.eta, "eta") * (hbar**2 / 2.0) * (
-            du * _derivative_bands(grid.n, grid.h, half)
+            _row_values(du, half) * _derivative_bands(grid.n, grid.h, half)
         )
     prov = {
         "pathway": "linear",

@@ -8,11 +8,15 @@ with sum(w_i) = 1 and alpha_i + beta_i + gamma_i = -1 per term. Every
 Hermitian ordering is characterized by two weighted means: xi (mean of
 gamma) and zeta (mean of alpha*gamma); the mean of gamma minus the mean
 of alpha (eta) measures the Hermiticity defect. All values are exact.
+
+An `OrderingSpec` is valid by construction (building one checks both
+constraints) and computes its three weighted means once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import ConstraintViolation, ParameterDomainError, UnknownOrdering, WeightSumViolation
@@ -44,7 +48,7 @@ class BuildingBlock:
 
 @dataclass(frozen=True)
 class OrderingSpec:
-    """Ordered list of building blocks, optionally labeled."""
+    """Ordered list of building blocks, optionally labeled; built only if `check` passes."""
 
     terms: tuple[BuildingBlock, ...]
     name: str | None = None
@@ -54,12 +58,24 @@ class OrderingSpec:
         if not terms:
             raise ValueError("an ordering needs at least one term")
         object.__setattr__(self, "terms", terms)
+        check(self)
 
     def weight_sum(self) -> Exact:
         total = Fraction(0)
         for t in self.terms:
             total = total + t.w
         return total
+
+    @cached_property
+    def _means(self) -> tuple[Exact, Exact, Exact]:
+        """Weighted means of alpha, gamma and alpha*gamma (in `_SELECTORS`
+        order), in one pass over the terms."""
+        ma = mg = mag = Fraction(0)
+        for t in self.terms:
+            ma = ma + t.w * t.alpha
+            mg = mg + t.w * t.gamma
+            mag = mag + t.w * (t.alpha * t.gamma)
+        return exact(ma), exact(mg), exact(mag)
 
 
 @dataclass(frozen=True)
@@ -97,13 +113,8 @@ def check(s: OrderingSpec) -> None:
 
 
 def validate(s: OrderingSpec) -> list[str]:
-    """Check the hard constraints; return non-fatal warnings.
-
-    Errors (raised): weights must sum to 1, each term's exponents must sum
-    to -1. Warnings (returned): exponents outside [-1, 0], which is
-    conventional but not required.
-    """
-    check(s)
+    """Non-fatal warnings: exponents outside [-1, 0], which is conventional
+    but not required. The hard constraints hold for every OrderingSpec."""
     warnings = []
     for i, t in enumerate(s.terms):
         out = [
@@ -123,37 +134,19 @@ def weighted_mean(s: OrderingSpec, selector: str) -> Exact:
     """Weight-averaged alpha, gamma, or alpha*gamma over the terms."""
     if selector not in _SELECTORS:
         raise ValueError(f"selector must be one of {_SELECTORS}, got {selector!r}")
-    check(s)
-    return _mean(s, selector)
-
-
-def _mean(s: OrderingSpec, selector: str) -> Exact:
-    """`weighted_mean` for a spec that has already passed `check`."""
-    total = Fraction(0)
-    for t in s.terms:
-        if selector == "alpha":
-            x = t.alpha
-        elif selector == "gamma":
-            x = t.gamma
-        else:
-            x = t.alpha * t.gamma
-        total = total + t.w * x
-    return exact(total)
+    return s._means[_SELECTORS.index(selector)]
 
 
 def linear_params(s: OrderingSpec) -> LinearParams:
     """Map an ordering to (xi, zeta, eta) = (mean gamma, mean alpha*gamma, mean gamma - mean alpha)."""
-    check(s)
-    mg = _mean(s, "gamma")
-    ma = _mean(s, "alpha")
-    mag = _mean(s, "alpha_gamma")
+    ma, mg, mag = s._means
     return LinearParams(xi=mg, zeta=mag, eta=mg - ma)
 
 
 def is_hermitian(s: OrderingSpec) -> bool:
     """True iff mean alpha equals mean gamma exactly."""
-    check(s)
-    return _mean(s, "alpha") == _mean(s, "gamma")
+    ma, mg, _ = s._means
+    return ma == mg
 
 
 def canonicalize(s: OrderingSpec) -> OrderingSpec:

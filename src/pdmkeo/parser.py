@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, WrongMomentumCount
-from .ordering import BuildingBlock, OrderingSpec, canonicalize, check
+from .ordering import BuildingBlock, OrderingSpec, canonicalize
 from .surds import Surd
 
 _TOKEN_SPEC = (
@@ -153,9 +153,7 @@ def parse(text: str) -> OrderingSpec:
     for index, (coeff, factors) in enumerate(raw_terms):
         alpha, beta, gamma = _normalize_term(index, factors)
         blocks.append(BuildingBlock(2 * coeff, alpha, beta, gamma))
-    spec = OrderingSpec(tuple(blocks))
-    check(spec)
-    return spec
+    return OrderingSpec(tuple(blocks))
 
 
 def _format_rational(x) -> str:
@@ -180,7 +178,6 @@ def print_canonical(spec: OrderingSpec) -> str:
     """Deterministic canonical text: terms sorted by (alpha, beta, gamma),
     duplicates merged, coefficients printed as exact rationals."""
     canon = canonicalize(spec)
-    check(canon)
     pieces = []
     for i, block in enumerate(canon.terms):
         coeff = block.w / 2

@@ -43,13 +43,19 @@ def _probe(profile: MassProfile) -> None:
     u = np.asarray(profile.inv_m(x), dtype=float)
     if not np.all(np.isfinite(u)) or np.any(u <= 0):
         raise ValueError(f"profile {profile.name!r}: 1/m must be finite and positive")
-    h = _PROBE_H
+    du = np.asarray(profile.d_inv_m(x), dtype=float)
+    ddu = np.asarray(profile.dd_inv_m(x), dtype=float)
+    scale, scale1, scale2 = (float(np.max(np.abs(v))) for v in (u, du, ddu))
+    scale = max(1.0, scale)
+    # the step resolves the profile's own length, scale/|u'| or sqrt(scale/|u''|)
+    h = _PROBE_H * min(1.0, scale / scale1 if scale1 else 1.0,
+                       np.sqrt(scale / scale2) if scale2 else 1.0)
     fd1 = (profile.inv_m(x + h) - profile.inv_m(x - h)) / (2 * h)
     fd2 = (profile.inv_m(x + h) - 2 * u + profile.inv_m(x - h)) / h**2
-    scale = max(1.0, float(np.max(np.abs(u))))
-    if np.max(np.abs(fd1 - profile.d_inv_m(x))) > 1e-5 * scale:
+    # "not <=": a non-finite derivative makes a difference nan, and is refused
+    if not np.max(np.abs(fd1 - du)) <= 1e-5 * max(scale, scale1):
         raise ValueError(f"profile {profile.name!r}: d_inv_m disagrees with finite differences")
-    if np.max(np.abs(fd2 - profile.dd_inv_m(x))) > 1e-3 * scale:
+    if not np.max(np.abs(fd2 - ddu)) <= 1e-3 * max(scale, scale2):
         raise ValueError(f"profile {profile.name!r}: dd_inv_m disagrees with finite differences")
 
 

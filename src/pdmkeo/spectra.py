@@ -2,12 +2,12 @@
 
 H is an assembled kinetic operator T plus a potential V(x) on its
 diagonal; spectra default to the staggered scheme (no odd-even grid
-decoupling). `solve` finds the lowest eigenvalues of the banded H per
-tridiagonal block by bisection: a staggered H is one block, and a
-central H, whose +-1 diagonals are zero, is two, on the even and on the
-odd grid points. Each residual is measured for the eigenvector that
-LAPACK returns for the block holding the value. Every eta = 0 ordering
-assembles exactly symmetric and solves, mirrored or not; an eta != 0
+decoupling). `solve` finds the lowest eigenvalues of the banded H by
+bisection in one LAPACK call on its tridiagonal blocks laid end to end:
+a staggered H is one block, and a central H, whose +-1 diagonals are
+zero, is two, on the even and on the odd grid points. Each residual is
+measured for the eigenvector that the same call returns. Every eta = 0
+ordering assembles exactly symmetric and solves, mirrored or not; an eta != 0
 operator is refused as NotSymmetric. Dual-pair spectra are computed and
 reported side by side without asserting equality.
 """
@@ -66,8 +66,8 @@ class SpectrumResult:
 
     The eigenvalues are those of H's tridiagonal blocks (see `solve`).
     `residuals[i]` is ||H x - e x|| for e = `eigenvalues[i]` and the unit
-    vector x that LAPACK returns with e for the block that e came from,
-    zero on the other grid points. It is a few rounding errors of max|H|
+    vector x that LAPACK returns with e, which is zero off the block that e
+    came from. It is a few rounding errors of max|H|
     exactly when e is an eigenvalue of H; within a degenerate pair x is
     some vector of the shared eigenspace.
     """
@@ -104,10 +104,9 @@ def solve(h: AssembledOperator, k: int) -> SpectrumResult:
     With half-bandwidth l, H must have zero diagonals at offsets 1 .. l-1,
     so that it splits into l tridiagonal blocks, block p on the grid points
     p, p + l, p + 2l, ... (one block for the staggered scheme, two for the
-    central one). The eigenvalues are the lowest k of the blocks', each
-    block solved by LAPACK bisection (`eigh_tridiagonal`) in O(m k) for m
-    points. Each residual is measured on the full H for the eigenvector
-    that the same LAPACK call returns for the block."""
+    central one). The blocks, laid end to end, are solved together by one
+    LAPACK bisection call (`eigh_tridiagonal`) in O(n k). Each residual is
+    measured on the full H for the eigenvector that the same call returns."""
     # imported here: scipy.linalg is most of the package's import time, and
     # only the eigensolve needs it
     from scipy.linalg import eigh_tridiagonal
@@ -124,22 +123,20 @@ def solve(h: AssembledOperator, k: int) -> SpectrumResult:
     if half == 0 or np.any(bands[half + 1:2 * half, :-1]):
         raise KeoError(f"operator of half-bandwidth {half} does not split into "
                        f"stride-{half} tridiagonal blocks")
-    found = []
-    for p in range(half):
-        d, e = bands[half, p::half], bands[2 * half, p::half][:-1]
-        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, min(k, d.size) - 1))
-        found += [(value, slice(p, None, half), vec) for value, vec in zip(vals, vecs.T)]
-    found = sorted(found, key=lambda f: f[0])[:k]
-    residuals = []
-    for value, points, vec in found:
-        x = np.zeros(n)
-        x[points] = vec
-        residuals.append(float(np.linalg.norm(h.applied_to(x) - value * x)))
+    # the blocks laid end to end: the lower-band cell past each block's last
+    # point lies outside the matrix and holds zero, so LAPACK splits there
+    order = np.concatenate([np.arange(p, n, half) for p in range(half)])
+    values, vecs = eigh_tridiagonal(
+        bands[half, order], bands[2 * half, order][:-1], select="i", select_range=(0, k - 1)
+    )
+    x = np.empty((n, values.size))
+    x[order] = vecs
+    residuals = np.linalg.norm(h.applied_to(x) - x * values, axis=0)
     return SpectrumResult(
-        eigenvalues=tuple(float(f[0]) for f in found),
+        eigenvalues=tuple(map(float, values)),
         grid=h.grid,
         provenance=dict(h.provenance),
-        residuals=tuple(residuals),
+        residuals=tuple(map(float, residuals)),
     )
 
 

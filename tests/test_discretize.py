@@ -16,7 +16,8 @@ from pdmkeo.discretize import (
 )
 from pdmkeo.errors import NonPositiveMass
 from pdmkeo.ordering import LinearParams, catalog, linear_params, spec
-from pdmkeo.profiles import MassProfile, constant, cosine_bump, lorentzian
+from pdmkeo.profiles import MassProfile, constant, cosine_bump, lorentzian, make_profile
+from pdmkeo.surds import Surd
 
 BUMP = lambda x: (1 - x**2) ** 2
 
@@ -111,6 +112,42 @@ def test_nonpositive_mass_reports_grid_index():
     with pytest.raises(NonPositiveMass) as exc:
         assemble_terms(catalog("BDD"), shrinking, Grid(-3.0, 3.0, 11))
     assert exc.value.index == 0
+
+
+def test_profile_probe_accepts_sharp_builtin_profiles():
+    # every derivative here is exact (tests/test_symbolic.py); a probe step or
+    # tolerance fixed in x refused about half of them
+    widths = ("1", "1/4", "1/30", "1/100", "1/300", "1/1000")
+    texts = [f"lorentzian:lam={lam}" for lam in ("1/10", "1", "10", "100", "1000")]
+    for width in widths:
+        texts += [f"smoothed_step:lam={lam},sigma={width}" for lam in ("1/10", "1/2", "-9/10")]
+        for lam in ("1/10", "1", "10", "100", "1000"):
+            texts += [f"gaussian_bump:lam={lam},sigma={width}",
+                      f"cosine_bump:lam={lam},half_width={width}"]
+    for text in texts:
+        make_profile(text)
+
+
+@pytest.mark.parametrize("which", ["d_inv_m", "dd_inv_m"])
+@pytest.mark.parametrize("error", [0.01, 0.1])
+def test_profile_probe_refuses_wrong_derivatives(which, error):
+    good = lorentzian(m0=1, lam=1)
+    parts = {"inv_m": good.inv_m, "d_inv_m": good.d_inv_m, "dd_inv_m": good.dd_inv_m}
+    right = parts[which]
+    parts[which] = lambda x: (1 + error) * right(x)
+    with pytest.raises(ValueError, match=f"'wrong': {which} disagrees"):
+        MassProfile("wrong", **parts)
+
+
+def test_surd_exponents_assemble_without_rational_means():
+    # xi = a is irrational, so linear_params refuses the spec, but eta = 0
+    a = Surd(0, F(-1, 4), 2)
+    s = spec([(1, a, -1 - 2 * a, a)])
+    op = assemble_terms(s, lorentzian(m0=1, lam=1), Grid(-1.0, 1.0, 12))
+    assert op.provenance["eta"] == "0"
+    assert np.array_equal(op.matrix, op.matrix.T)
+    with pytest.raises(ArithmeticError):
+        linear_params(s)
 
 
 def test_effective_potential_constant_mass_vanishes():

@@ -39,15 +39,17 @@ def test_validate_accepts_bdd():
 
 
 def test_validate_rejects_bad_exponent_sum():
-    s = spec([(1, 0, 0, 0)])
     with pytest.raises(ConstraintViolation):
-        validate(s)
+        spec([(1, 0, 0, 0)])
+    with pytest.raises(ConstraintViolation):
+        OrderingSpec((BuildingBlock(1, 0, 0, 0),))
 
 
 def test_validate_rejects_bad_weight_sum():
-    s = spec([(F(1, 2), 0, -1, 0)])
     with pytest.raises(WeightSumViolation):
-        validate(s)
+        spec([(F(1, 2), 0, -1, 0)])
+    with pytest.raises(WeightSumViolation):
+        OrderingSpec((BuildingBlock(F(1, 2), 0, -1, 0),))
 
 
 def test_validate_warns_on_out_of_bounds_exponents():
@@ -215,32 +217,36 @@ def test_canonicalize_sorts_merges_and_drops():
 
 
 def test_each_entry_point_validates_once(monkeypatch):
-    from pdmkeo import discretize, ordering
+    from pdmkeo import ordering
     from pdmkeo.discretize import Grid, assemble_terms
     from pdmkeo.profiles import constant
 
-    calls = []
+    checks, passes = [], []
     real_check = ordering.check
+    means = vars(OrderingSpec)["_means"]
+    real_means = means.func
 
-    def counting(s):
-        calls.append(s)
+    def counting_check(s):
+        checks.append(s)
         real_check(s)
 
-    monkeypatch.setattr(ordering, "check", counting)
-    monkeypatch.setattr(discretize, "check", counting)
+    def counting_means(s):
+        passes.append(s)
+        return real_means(s)
+
+    monkeypatch.setattr(ordering, "check", counting_check)
+    monkeypatch.setattr(means, "func", counting_means)
+    s = catalog("DA(-1/2)")
+    # construction checks once; the means wait for their first use
+    assert len(checks) == 1 and checks[0] is s
+    assert passes == []
     entry_points = (
         linear_params,
         is_hermitian,
         lambda s: assemble_terms(s, constant(1), Grid(-1.0, 1.0, 10)),
         lambda s: weighted_mean(s, "alpha_gamma"),
     )
-    bad_weights = spec([(F(1, 2), -1, 0, 0)])
-    bad_exponents = spec([(1, 0, 0, 0)])
     for entry in entry_points:
-        calls.clear()
-        entry(catalog("DA(-1/2)"))
-        assert len(calls) == 1
-        with pytest.raises(WeightSumViolation):
-            entry(bad_weights)
-        with pytest.raises(ConstraintViolation):
-            entry(bad_exponents)
+        entry(s)
+    assert len(checks) == 1
+    assert len(passes) == 1 and passes[0] is s

@@ -1,7 +1,8 @@
 """Property-based oracles: parser fixpoints, exact inversion round trips,
 the duality involution, classification against its reference, surd
-comparisons and the exact symmetry of every Hermitian assembly, checked
-on generated inputs instead of hand-picked catalog entries."""
+comparisons, the exact symmetry of every Hermitian assembly and the
+shared continuum spectrum of orderings at one (xi, zeta), checked on
+generated inputs instead of hand-picked catalog entries."""
 
 from fractions import Fraction as F
 
@@ -153,3 +154,56 @@ def test_every_hermitian_ordering_assembles_exactly_symmetric(s, scheme, n):
     for prof in (lorentzian(m0=1, lam=1), gaussian_bump(m0=1, lam=1, sigma=F(1, 4))):
         a = assemble_terms(s, prof, Grid(-1.0, 1.0, n), scheme=scheme).matrix
         assert (a == a.T).all()
+
+
+@st.composite
+def hermitian_at_allowed_points(draw):
+    """eta = 0 orderings with every alpha and gamma in [-1/2, 0] and every
+    weight >= 0, so that (xi, zeta) is allowed (alpha >= -1/2 and gamma <= 0
+    give alpha gamma <= -gamma/2): a mirrored von Roos pair, or two
+    unmirrored terms whose gamma - alpha cancel plus a symmetric filler."""
+    exponent = st.fractions(min_value=F(-1, 2), max_value=0, max_denominator=8)
+    pair = st.lists(exponent, min_size=2, max_size=2, unique=True).map(sorted)
+    if draw(st.booleans()):
+        a, g = draw(exponent), draw(exponent)
+        return spec([(F(1, 2), a, -1 - a - g, g), (F(1, 2), g, -1 - a - g, a)])
+    a1, g1 = draw(pair)  # gamma - alpha > 0
+    g2, a2 = draw(pair)  # gamma - alpha < 0
+    d1, d2 = g1 - a1, a2 - g2
+    total = draw(st.sampled_from([F(1, 4), F(1, 2), F(3, 4), F(1)]))
+    a3 = draw(exponent)
+    return spec([(total * d2 / (d1 + d2), a1, -1 - a1 - g1, g1),
+                 (total * d1 / (d1 + d2), a2, -1 - a2 - g2, g2),
+                 (1 - total, a3, -1 - 2 * a3, a3)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(hermitian_at_allowed_points(), st.data())
+def test_orderings_at_one_point_share_the_continuum_spectrum(s, data):
+    """An ordering and its inversion in any class of its (xi, zeta) differ
+    only by discretization error: their raw eigenvalue gap falls at O(h^2)
+    and their extrapolated eigenvalues agree within the error estimates."""
+    from pdmkeo.discretize import Grid
+    from pdmkeo.profiles import gaussian_bump
+    from pdmkeo.spectra import harmonic, richardson, spectrum_of_spec
+
+    xi, zeta, eta = linear_params(s).as_tuple()
+    assert eta == 0
+    region = data.draw(st.sampled_from(sorted(label.region for label in classify(xi, zeta))))
+    other = invert(xi, zeta, region)
+    assert linear_params(other) == linear_params(s)
+    prof, pot = gaussian_bump(m0=1, lam=1, sigma=F(1, 2)), harmonic(4)
+    (a1, a2), (b1, b2) = (
+        [spectrum_of_spec(t, prof, pot, Grid(-2.0, 2.0, n), 3).eigenvalues for n in (100, 200)]
+        for t in (s, other)
+    )
+    for j in range(3):
+        coarse, fine = abs(a1[j] - b1[j]), abs(a2[j] - b2[j])
+        # a gap this small is rounding, or the two operators are the same
+        floor = 1e-9 * abs(a1[j])
+        if coarse > floor:
+            assert 3.5 <= coarse / fine <= 4.5
+        else:
+            assert fine <= floor
+        (ea, da), (eb, db) = richardson(a1[j], a2[j]), richardson(b1[j], b2[j])
+        assert abs(ea - eb) <= da + db

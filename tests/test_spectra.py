@@ -130,6 +130,25 @@ def test_solve_rejects_bad_k_and_solves_large_n():
         assert max(res.residuals) <= 1e-9 * scale, scheme
 
 
+@pytest.mark.parametrize("potential, x_min, x_max, levels", [
+    (zero_potential(), 0.0, np.pi, lambda j: (j + 1) ** 2 / 2.0),  # box: j^2 pi^2 / (2 L^2)
+    (harmonic(k=4), -6.0, 6.0, lambda j: 2.0 * (j + 0.5)),  # (j + 1/2) omega, omega = 2
+])
+def test_staggered_levels_approach_the_continuum_at_second_order(potential, x_min, x_max, levels):
+    """Constant-mass levels against the continuum, not against the discrete
+    operator's own eigenvalues: the observed order in h is 2."""
+    exact = levels(np.arange(3))
+    errors, spacings = [], []
+    for n in (100, 200, 400):
+        g = Grid(x_min, x_max, n)
+        values = spectrum_of_spec(catalog("BDD"), constant(1), potential, g, 3).eigenvalues
+        errors.append(np.abs(np.array(values) - exact))
+        spacings.append(g.h)
+    for i in range(2):
+        order = np.log(errors[i] / errors[i + 1]) / np.log(spacings[i] / spacings[i + 1])
+        assert np.all(np.abs(order - 2) <= 0.02), order
+
+
 def test_grid_refinement_ratio_for_eigenvalues():
     prof = lorentzian(m0=1, lam=1)
     values = {}
