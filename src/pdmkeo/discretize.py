@@ -9,7 +9,10 @@ Two independent pathways build the same operator:
     effective potential driven by (xi, zeta).
 
 Agreement of the two pathways at O(h^2) is the numerical oracle for the
-reduction of a multi-term ordering to its linear parameters.
+reduction of a multi-term ordering to its linear parameters. A mass
+profile is checked where it is sampled: 1/m at every point an operator
+uses, and the derivatives, which only the linear path reads, in
+`_inverse_mass_and_derivatives`.
 
 Both pathways support a 'central' scheme (pure central-difference
 composition, exactly antisymmetric momentum, used by the oracle) and a
@@ -177,8 +180,9 @@ def derivative_matrix(grid: Grid) -> np.ndarray:
 
 
 def _inverse_mass_at(profile: MassProfile, x: np.ndarray) -> np.ndarray:
+    """1/m at x; the first sample not finite and positive is a NonPositiveMass."""
     u = np.asarray(profile.inv_m(x), dtype=float)
-    bad = np.where(~(u > 0))[0]
+    bad = np.flatnonzero(~(np.isfinite(u) & (u > 0)))
     if bad.size:
         i = int(bad[0])
         raise NonPositiveMass(i, float(x[i]), float(u[i]))
@@ -267,17 +271,41 @@ def effective_potential(
     params: LinearParams, profile: MassProfile, x, hbar: float = 1.0
 ):
     """Multiplicative reordering potential (hbar^2/2) [xi (1/m)'' + zeta ((1/m)')^2 m]."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _effective_potential(params, *_inverse_mass_and_derivatives(profile, xs), hbar)
-    if np.ndim(x) == 0:
+    xs = np.asarray(x, dtype=float)
+    out = _effective_potential(params, *_inverse_mass_and_derivatives(profile, xs.ravel()), hbar)
+    if xs.ndim == 0:
         return float(out[0])
-    return out
+    return out.reshape(xs.shape)
 
 
 def _inverse_mass_and_derivatives(profile: MassProfile, x: np.ndarray):
-    """Samples of 1/m, (1/m)' and (1/m)'' at x."""
-    return (_inverse_mass_at(profile, x), np.asarray(profile.d_inv_m(x), dtype=float),
-            np.asarray(profile.dd_inv_m(x), dtype=float))
+    """Samples of 1/m, (1/m)' and (1/m)'' at x. A derivative that is not finite,
+    or unlike central differences of 1/m at every (x.size // 21)-th point, is a ValueError."""
+    u = _inverse_mass_at(profile, x)
+    du, ddu = (np.asarray(f(x), dtype=float) for f in (profile.d_inv_m, profile.dd_inv_m))
+    if x.size == 0:
+        return u, du, ddu
+    # a scale is NaN or inf if one of its samples is
+    scale, scale1, scale2 = max(1.0, float(u.max())), *(float(np.abs(v).max()) for v in (du, ddu))
+    for name, v, s in (("d_inv_m", du, scale1), ("dd_inv_m", ddu, scale2)):
+        if not math.isfinite(s):
+            i = int(np.flatnonzero(~np.isfinite(v))[0])
+            raise ValueError(f"profile {profile.name!r}: {name} is not finite at index {i}")
+    # the step resolves the profile's own length, scale/|u'| or sqrt(scale/|u''|)
+    h = 1e-4 * min(1.0, scale / scale1 if scale1 else 1.0,
+                   math.sqrt(scale / scale2) if scale2 else 1.0)
+    # a point passes at step h or h/10: it may sit in the tail of a feature h does not resolve
+    steps = np.array([[h], [h / 10], [-h], [-h / 10]])
+    k = slice(None, None, max(1, x.size // 21))
+    ahead, behind = np.asarray(profile.inv_m((x[k] + steps).ravel()), dtype=float).reshape(2, 2, -1)
+    with np.errstate(all="ignore"):  # a non-finite 1/m off the grid fails below
+        err1 = np.fmin(*np.abs((ahead - behind) / (2 * steps[:2]) - du[k])).max()
+        err2 = np.fmin(*np.abs((ahead + behind - 2 * u[k]) / steps[:2] ** 2 - ddu[k])).max()
+    for name, err, tol in (("d_inv_m", err1, 1e-5 * max(scale, scale1)),
+                           ("dd_inv_m", err2, 1e-3 * max(scale, scale2))):
+        if not err <= tol:
+            raise ValueError(f"profile {profile.name!r}: {name} disagrees with finite differences")
+    return u, du, ddu
 
 
 def _effective_potential(params: LinearParams, u, du, ddu, hbar: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ def test_staggered_scheme_symmetric_and_consistent():
 
 
 def test_nonpositive_mass_reports_grid_index():
-    # positive on the construction probe window but not on a wider grid
+    # positive on [-1, 1] but not on a wider grid
     shrinking = MassProfile(
         name="shrinking",
         inv_m=lambda x: 2.0 - np.asarray(x, dtype=float) ** 2,
@@ -116,7 +117,9 @@ def test_nonpositive_mass_reports_grid_index():
 
 def test_profile_probe_accepts_sharp_builtin_profiles():
     # every derivative here is exact (tests/test_symbolic.py); a probe step or
-    # tolerance fixed in x refused about half of them
+    # tolerance fixed in x refused about half of them, and a single scaled
+    # step refused gaussian_bump at sigma = 1/1000 for n = 200, whose sample
+    # at x ~ -0.005 sits in the tail of a bump the grid does not resolve
     widths = ("1", "1/4", "1/30", "1/100", "1/300", "1/1000")
     texts = [f"lorentzian:lam={lam}" for lam in ("1/10", "1", "10", "100", "1000")]
     for width in widths:
@@ -124,19 +127,90 @@ def test_profile_probe_accepts_sharp_builtin_profiles():
         for lam in ("1/10", "1", "10", "100", "1000"):
             texts += [f"gaussian_bump:lam={lam},sigma={width}",
                       f"cosine_bump:lam={lam},half_width={width}"]
-    for text in texts:
-        make_profile(text)
+    yy = linear_params(catalog("YY"))
+    for n in (3, 200, 2000):
+        for text in texts:
+            assemble_linear(yy, make_profile(text), Grid(-1.0, 1.0, n))
+
+
+def _with_wrong(profile, which, wrong):
+    parts = {"inv_m": profile.inv_m, "d_inv_m": profile.d_inv_m, "dd_inv_m": profile.dd_inv_m}
+    parts[which] = wrong(parts[which])
+    return MassProfile("wrong", **parts)
 
 
 @pytest.mark.parametrize("which", ["d_inv_m", "dd_inv_m"])
 @pytest.mark.parametrize("error", [0.01, 0.1])
 def test_profile_probe_refuses_wrong_derivatives(which, error):
-    good = lorentzian(m0=1, lam=1)
-    parts = {"inv_m": good.inv_m, "d_inv_m": good.d_inv_m, "dd_inv_m": good.dd_inv_m}
-    right = parts[which]
-    parts[which] = lambda x: (1 + error) * right(x)
+    # checked where the derivatives are read, on the grid of the operator
+    wrong = _with_wrong(lorentzian(m0=1, lam=1), which, lambda f: lambda x: (1 + error) * f(x))
+    yy = linear_params(catalog("YY"))
     with pytest.raises(ValueError, match=f"'wrong': {which} disagrees"):
-        MassProfile("wrong", **parts)
+        assemble_linear(yy, wrong, Grid(-1.0, 1.0, 50))
+    with pytest.raises(ValueError, match=f"'wrong': {which} disagrees"):
+        effective_potential(yy, wrong, np.linspace(-1.0, 1.0, 50))
+
+
+def test_profile_is_checked_on_the_grid_it_is_used_on():
+    # 1/m = x - 3/2 is positive on [2, 3] only
+    shifted = MassProfile(
+        name="shifted",
+        inv_m=lambda x: np.asarray(x, dtype=float) - 1.5,
+        d_inv_m=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        dd_inv_m=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+    )
+    yy = catalog("YY")
+    for scheme in ("central", "staggered"):
+        assemble_terms(yy, shifted, Grid(2.0, 3.0, 40), scheme=scheme)
+        assemble_linear(linear_params(yy), shifted, Grid(2.0, 3.0, 40), scheme=scheme)
+    psi = lambda x: ((x - 2) * (3 - x)) ** 4
+    d1, d2 = (equivalence_defect(yy, shifted, Grid(2.0, 3.0, n), psi) for n in (200, 400))
+    assert 3.5 <= d1 / d2 <= 4.5
+    with pytest.raises(NonPositiveMass) as exc:
+        assemble_terms(yy, shifted, Grid(-1.0, 1.0, 40))
+    assert exc.value.index == 0
+
+
+def test_derivatives_wrong_beyond_the_unit_window_are_refused_there():
+    wrong = _with_wrong(lorentzian(m0=1, lam=1), "d_inv_m",
+                        lambda f: lambda x: np.where(np.abs(x) > 1, 2.0, 1.0) * f(x))
+    yy = catalog("YY")
+    far = Grid(0.0, 3.0, 200)
+    with pytest.raises(ValueError, match="'wrong': d_inv_m disagrees"):
+        assemble_linear(linear_params(yy), wrong, far)
+    with pytest.raises(ValueError, match="'wrong': d_inv_m disagrees"):
+        equivalence_defect(yy, wrong, far, lambda x: (x * (3 - x)) ** 4)
+    # the terms pathway reads 1/m only, and on [-1, 1] the derivative is right
+    assemble_terms(yy, wrong, far)
+    assemble_linear(linear_params(yy), wrong, Grid(-1.0, 1.0, 200))
+
+
+def test_infinite_inverse_mass_is_a_nonpositive_mass():
+    barrier = MassProfile(
+        name="barrier",
+        inv_m=lambda x: np.where(np.abs(np.asarray(x) - 1.5) < 0.2, np.inf, 1.0),
+        d_inv_m=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        dd_inv_m=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+    )
+    g = Grid(0.0, 3.0, 20)
+    first = int(np.flatnonzero(np.abs(g.points - 1.5) < 0.2)[0])
+    yy = catalog("YY")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scheme in ("central", "staggered"):
+            with pytest.raises(NonPositiveMass) as exc:
+                assemble_terms(yy, barrier, g, scheme=scheme)
+            assert exc.value.index == first and exc.value.value == np.inf
+            with pytest.raises(NonPositiveMass):
+                assemble_linear(linear_params(yy), barrier, g, scheme=scheme)
+
+
+def test_non_finite_derivative_is_refused_by_name():
+    wrong = _with_wrong(lorentzian(m0=1, lam=1), "dd_inv_m", lambda f: lambda x: f(x) * np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="'wrong': dd_inv_m is not finite at index 0"):
+            assemble_linear(linear_params(catalog("YY")), wrong, Grid(-1.0, 1.0, 20))
 
 
 def test_surd_exponents_assemble_without_rational_means():
@@ -162,6 +236,14 @@ def test_effective_potential_lorentzian_at_origin():
         lp = LinearParams(xi, zeta, 0)
         assert effective_potential(lp, prof, 0.0) == pytest.approx(float(xi), rel=1e-12)
         assert effective_potential(lp, prof, 0.0, hbar=2.0) == pytest.approx(4 * float(xi), rel=1e-12)
+
+
+def test_effective_potential_keeps_the_shape_of_x():
+    lp, prof = LinearParams(F(-1, 2), F(1, 4), 0), lorentzian(m0=1, lam=1)
+    assert effective_potential(lp, prof, []).shape == (0,)
+    x = np.linspace(-2.0, 2.0, 12)
+    assert np.array_equal(effective_potential(lp, prof, x.reshape(3, 4)),
+                          effective_potential(lp, prof, x).reshape(3, 4))
 
 
 def test_effective_potential_zero_params_everywhere():

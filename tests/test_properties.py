@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from classify_reference import reference_classify
 from pdmkeo.classify import classify, dual, in_allowed_region, invert, to_duality
 from pdmkeo.errors import DualOutsideAllowedRegion, OutsideAllowedRegion
-from pdmkeo.ordering import BuildingBlock, OrderingSpec, linear_params, spec
+from pdmkeo.ordering import BuildingBlock, OrderingSpec, catalog, linear_params, spec
 from pdmkeo.parser import parse, print_canonical
 from pdmkeo.surds import Surd
 
@@ -154,6 +154,39 @@ def test_every_hermitian_ordering_assembles_exactly_symmetric(s, scheme, n):
     for prof in (lorentzian(m0=1, lam=1), gaussian_bump(m0=1, lam=1, sigma=F(1, 4))):
         a = assemble_terms(s, prof, Grid(-1.0, 1.0, n), scheme=scheme).matrix
         assert (a == a.T).all()
+
+
+@st.composite
+def builtin_profiles(draw):
+    """A built-in profile with lam up to 1000 and a width from 1 down to 1/1000."""
+    from pdmkeo.profiles import PROFILES
+
+    name = draw(st.sampled_from(sorted(PROFILES)))
+    if name == "smoothed_step":  # needs |lam| < 1
+        lam = draw(st.fractions(-F(99, 100), F(99, 100), max_denominator=100))
+    else:
+        lam = draw(st.fractions(F(1, 100), 1000, max_denominator=100))
+    width = F(1, draw(st.integers(1, 1000)))
+    return PROFILES[name](**{
+        "constant": {"m0": lam},
+        "lorentzian": {"lam": lam},
+        "gaussian_bump": {"lam": lam, "sigma": width},
+        "smoothed_step": {"lam": lam, "sigma": width},
+        "cosine_bump": {"lam": lam, "half_width": width},
+    }[name])
+
+
+@settings(max_examples=50, deadline=None)
+@given(builtin_profiles(),
+       st.lists(st.fractions(-3, 3, max_denominator=100), min_size=2, max_size=2, unique=True),
+       st.integers(3, 2000))
+def test_builtin_profiles_pass_the_derivative_probe_on_any_grid(prof, ends, n):
+    # their derivatives are exact (tests/test_symbolic.py), so a refusal is
+    # the probe's fault
+    from pdmkeo.discretize import Grid, assemble_linear
+
+    x_min, x_max = sorted(ends)
+    assemble_linear(linear_params(catalog("YY")), prof, Grid(float(x_min), float(x_max), n))
 
 
 @st.composite

@@ -100,7 +100,7 @@ PROFILE_PARAMETERS = {
     "cosine_bump": {"m0": F(3, 2), "lam": F(2, 3), "half_width": F(7, 5)},
 }
 
-# outside the [-1, 1] window that the construction-time probe checks
+# inside and outside [-1, 1]: a profile may meet a grid anywhere
 SAMPLE_POINTS = (-3.0, -1.7, 0.4, 2.5)
 
 
