@@ -26,8 +26,9 @@ v = pk.zero_potential()
 
 
 def extrapolated_ground(name, n=300):
-    coarse = pk.spectrum_of_spec(pk.catalog(name), profile, v, pk.Grid(-1, 1, n), 1)
-    fine = pk.spectrum_of_spec(pk.catalog(name), profile, v, pk.Grid(-1, 1, 2 * n), 1)
+    grid = pk.Grid(-1, 1, n)
+    coarse = pk.spectrum_of_spec(pk.catalog(name), profile, v, grid, 1)
+    fine = pk.spectrum_of_spec(pk.catalog(name), profile, v, grid.refined(), 1)
     return pk.richardson(coarse.eigenvalues[0], fine.eigenvalues[0])
 
 

@@ -25,9 +25,14 @@ which is D diag(b) D.
 
 Every operator is banded, pentadiagonal under the central scheme and
 tridiagonal under the staggered one, and is assembled, added and applied
-as its diagonals in O(n). An ordering with eta = 0 assembles to an
-exactly symmetric operator. `AssembledOperator.matrix` is the one dense
-form, built on demand for export and for tests.
+as its diagonals in O(n). The stencil reaches only offsets 0 and +-l
+(l = 2 central, 1 staggered), so the terms path adds each term straight
+into those three diagonals, entry by entry in the dense product's order,
+and evaluates m^s once per distinct exponent of the ordering: once per
+exponent at the grid points for the outer factors, and once per core
+exponent at the stencil's samples. An ordering with eta = 0 assembles to
+an exactly symmetric operator. `AssembledOperator.matrix` is the one
+dense form, built on demand for export and for tests.
 """
 
 from __future__ import annotations
@@ -85,8 +90,9 @@ class Grid:
         return self.x_min + self.h * (np.arange(self.n + 1) + 0.5)
 
     def refined(self) -> "Grid":
-        """Grid with roughly half the spacing (2n interior points)."""
-        return Grid(self.x_min, self.x_max, 2 * self.n)
+        """Grid with half the spacing: 2n + 1 interior points, so the n + 1
+        steps of h become 2n + 2 steps of h/2."""
+        return Grid(self.x_min, self.x_max, 2 * self.n + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,20 +210,28 @@ def _mass_power(u: np.ndarray, s: float) -> np.ndarray:
     return u ** (-s)
 
 
-def _core(b: np.ndarray, h: float, half: int) -> np.ndarray:
+def _core_diagonals(b: np.ndarray, h: float, half: int) -> tuple[np.ndarray, np.ndarray]:
     """d/dx b d/dx as the three-point divergence stencil on each stride-`half`
     sublattice (spacing half*h), b sampled halfway between its neighbours:
     the n+1 midpoint samples for half = 1, the n grid-point samples for
     half = 2 (which makes it D diag(b) D), padded with half - 1 zeros at each
-    end for the Dirichlet points beyond the grid."""
+    end for the Dirichlet points beyond the grid. Returns its diagonal (n
+    values) and its symmetric off-diagonal at offsets +-half (n - half values,
+    entry k coupling grid points k and k + half)."""
     pad = np.zeros(half - 1)
     b = np.concatenate((pad, b, pad))
     n = b.size - half
     s = half * h
     w = 1.0 / (s * s)
-    bands = np.zeros((2 * half + 1, n))
-    bands[half] = -w * (b[:n] + b[half:])
-    bands[0, half:] = bands[2 * half, :-half] = w * b[half:n]
+    return -w * (b[:n] + b[half:]), w * b[half:n]
+
+
+def _core(b: np.ndarray, h: float, half: int) -> np.ndarray:
+    """Bands of `_core_diagonals`' stencil; every other cell is zero."""
+    diag, off = _core_diagonals(b, h, half)
+    bands = np.zeros((2 * half + 1, diag.size))
+    bands[half] = diag
+    bands[0, half:] = bands[2 * half, :-half] = off
     return bands
 
 
@@ -236,15 +250,25 @@ def assemble_terms(
     u_core = u if scheme == "central" else _inverse_mass_at(profile, grid.midpoints)
     half = _HALF_BANDWIDTH[scheme]
     total = np.zeros((2 * half + 1, grid.n))
+    # the three diagonals a term reaches; every other cell stays +0.0
+    diag, upper, lower = total[half], total[0, half:], total[2 * half, :-half]
+    # m^s at the grid points and core stencils, each once per distinct exponent
+    powers, cores = {}, {}
     for i, t in enumerate(spec.terms):
         w, alpha, beta, gamma = (
             _as_float(v, f"term {i}: weight or exponent") for v in (t.w, t.alpha, t.beta, t.gamma)
         )
-        a = _row_values(_mass_power(u, alpha), half)
-        c = _mass_power(u, gamma)
-        core = _core(_mass_power(u_core, beta), grid.h, half)
-        # entrywise a[i] * core[i, j] * c[j], in the dense product's order
-        total += w * (a * core * c)
+        for s in (alpha, gamma):
+            if s not in powers:
+                powers[s] = _mass_power(u, s)
+        if beta not in cores:
+            cores[beta] = _core_diagonals(_mass_power(u_core, beta), grid.h, half)
+        a, c, (core, off) = powers[alpha], powers[gamma], cores[beta]
+        # A[i, j] += ((a[i] * core[i, j]) * c[j]) * w, the order of the
+        # dense product w diag(a) core diag(c), entry by entry
+        diag += a * core * c * w
+        upper += a[:-half] * off * c[half:] * w
+        lower += a[half:] * off * c[:-half] * w
     bands = -(hbar**2 / 2.0) * total
     mean_alpha, mean_gamma, _ = spec._means
     eta = mean_gamma - mean_alpha

@@ -8,6 +8,7 @@ points of each grid it meets (`discretize`), not when it is built.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -165,15 +166,20 @@ PROFILES = {
 }
 
 
+@functools.cache
+def _parameter_names(builder: Callable) -> tuple[str, ...]:
+    return tuple(inspect.signature(builder).parameters)
+
+
 def _from_spec_text(spec: str, kind: str, builders: Mapping[str, Callable]):
     """Call builders[name] for 'name' or 'name:key=value,...' text, each
     value an exact rational that a float can hold. Malformed text, an
-    unknown name or an unknown parameter raises ValueError."""
+    unknown name, an unknown parameter or one given twice raises ValueError."""
     name, _, arg_text = spec.partition(":")
     name = name.strip()
     if name not in builders:
         raise ValueError(f"unknown {kind} {name!r}; known: {', '.join(builders)}")
-    known = inspect.signature(builders[name]).parameters
+    known = _parameter_names(builders[name])
     kwargs = {}
     if arg_text.strip():
         for item in arg_text.split(","):
@@ -182,6 +188,8 @@ def _from_spec_text(spec: str, kind: str, builders: Mapping[str, Callable]):
                 raise ValueError(
                     f"{kind} {name} has no parameter {key!r}; known: {', '.join(known) or 'none'}"
                 )
+            if key in kwargs:
+                raise ValueError(f"{kind} {name} parameter {key!r} is given twice")
             try:
                 kwargs[key] = Fraction(value)
                 float(kwargs[key])  # the builders evaluate in floats

@@ -151,7 +151,7 @@ def spectrum_of_spec(
 
 def richardson(coarse: float, fine: float) -> tuple[float, float]:
     """Extrapolated value and error estimate for an O(h^2) quantity computed
-    at spacing h (coarse) and h/2 (fine)."""
+    at spacing h (coarse) and h/2 (fine), as on a grid and its `Grid.refined()`."""
     extrapolated = fine + (fine - coarse) / 3.0
     return extrapolated, abs(fine - coarse) / 3.0
 

@@ -205,11 +205,10 @@ def test_criterion_9_same_point_spectral_agreement():
         v = pk.zero_potential()
 
         def extrapolated_ground(name, n):
-            e1 = pk.spectrum_of_spec(
-                pk.catalog(name), profile, v, pk.Grid(-1, 1, n), 1
-            ).eigenvalues[0]
+            grid = pk.Grid(-1, 1, n)
+            e1 = pk.spectrum_of_spec(pk.catalog(name), profile, v, grid, 1).eigenvalues[0]
             e2 = pk.spectrum_of_spec(
-                pk.catalog(name), profile, v, pk.Grid(-1, 1, 2 * n), 1
+                pk.catalog(name), profile, v, grid.refined(), 1
             ).eigenvalues[0]
             return pk.richardson(e1, e2)
 

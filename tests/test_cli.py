@@ -193,7 +193,7 @@ def test_defect_reports_ratio():
         "--n", "100", "--xmin", "-1", "--xmax", "1",
     )
     doc = json.loads(cp.stdout)
-    assert doc["n"] == 100 and doc["n_refined"] == 200
+    assert doc["n"] == 100 and doc["n_refined"] == 201
     assert 3.0 <= doc["ratio"] <= 4.5
 
 
@@ -332,6 +332,19 @@ def test_malformed_specs_give_one_line_errors(argv):
     assert error.startswith("error:")
     assert all(line.startswith("warning:") for line in warnings)
     assert "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["assemble", "--name", "BDD", "--profile", "lorentzian:lam=1/3,lam=3", "--n", "8"],
+     "error: profile lorentzian parameter 'lam' is given twice"),
+    (["spectrum", "--name", "BDD", "--profile", "constant", "--potential", "harmonic:k=1,k=100",
+      "--n", "8"],
+     "error: potential harmonic parameter 'k' is given twice"),
+])
+def test_a_spec_parameter_given_twice_is_one_error_line(argv, error):
+    cp = run_cli(*argv)
+    assert cp.returncode == 1 and cp.stdout == ""
+    assert cp.stderr == error + "\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,9 @@
 """Property-based oracles: parser fixpoints, exact inversion round trips,
 the duality involution, classification against its reference, surd
-comparisons, the exact symmetry of every Hermitian assembly and the
-shared continuum spectrum of orderings at one (xi, zeta), checked on
-generated inputs instead of hand-picked catalog entries."""
+comparisons, the exact symmetry of every Hermitian assembly, assembly
+against its whole-band reference to the byte and the shared continuum
+spectrum of orderings at one (xi, zeta), checked on generated inputs
+instead of hand-picked catalog entries."""
 
 from fractions import Fraction as F
 
@@ -13,10 +14,13 @@ hypothesis = pytest.importorskip("hypothesis", exc_type=ImportError)
 
 from hypothesis import given, settings, strategies as st
 
+from assembly_reference import reference_assemble_terms
 from classify_reference import reference_classify
 from pdmkeo.classify import classify, dual, in_allowed_region, invert, to_duality
 from pdmkeo.errors import DualOutsideAllowedRegion, OutsideAllowedRegion
-from pdmkeo.ordering import BuildingBlock, OrderingSpec, catalog, linear_params, spec
+from pdmkeo.ordering import (
+    CATALOG_NAMES, BuildingBlock, OrderingSpec, catalog, linear_params, spec,
+)
 from pdmkeo.parser import parse, print_canonical
 from pdmkeo.surds import Surd
 
@@ -176,6 +180,60 @@ def builtin_profiles(draw):
     }[name])
 
 
+@st.composite
+def assembled_orderings(draw):
+    """A catalog ordering (parameterized families included), a class
+    inversion (quadratic-surd exponents in classes vR and I), two terms
+    with quadratic-surd weights, a parsed text, an unmirrored Hermitian
+    ordering or any generated one (mostly eta != 0)."""
+    kind = draw(st.sampled_from(
+        ["catalog", "inverted", "surd weights", "parsed", "unmirrored", "generated"]))
+    if kind == "catalog":
+        name = draw(st.sampled_from(CATALOG_NAMES))
+        arity = {"MB": 1, "LKDA": 1, "DA": 1, "vR": 2}.get(name, 0)
+        return catalog(name, *(draw(small) for _ in range(arity)))
+    if kind == "inverted":
+        xi, zeta = draw(allowed_points())
+        region = draw(st.sampled_from(sorted(label.region for label in classify(xi, zeta))))
+        return invert(xi, zeta, region)
+    if kind == "surd weights":
+        w = Surd(F(1, 2), draw(small), draw(radicands))
+        (a1, g1), (a2, g2) = (draw(st.tuples(small, small)) for _ in range(2))
+        return spec([(w, a1, -1 - a1 - g1, g1), (1 - w, a2, -1 - a2 - g2, g2)])
+    if kind == "parsed":
+        return parse(print_canonical(draw(orderings())))
+    if kind == "unmirrored":
+        return draw(unmirrored_hermitian())
+    return draw(orderings())
+
+
+@settings(max_examples=300, deadline=None)
+@given(assembled_orderings(), builtin_profiles(), st.integers(3, 60),
+       st.sampled_from(["central", "staggered"]),
+       st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e150]),
+                 st.floats(-10, 10)))
+def test_assembly_matches_the_whole_band_reference_to_the_byte(s, prof, n, scheme, hbar):
+    """`assemble_terms` adds each term into the three diagonals it reaches;
+    the reference multiplies whole band arrays. The entries, the signed
+    zeros in the cells outside the matrix and the refusals agree exactly."""
+    import numpy as np
+
+    from pdmkeo.discretize import Grid, assemble_terms
+
+    grid = Grid(-1.0, 1.0, n)
+    # an overflow is compared as the refusal it ends in, not as numpy's warning
+    with np.errstate(all="ignore"):
+        try:
+            expected = reference_assemble_terms(s, prof, grid, hbar=hbar, scheme=scheme)
+        except ValueError as exc:  # entries that are not finite
+            with pytest.raises(ValueError) as got:
+                assemble_terms(s, prof, grid, hbar=hbar, scheme=scheme)
+            assert str(got.value) == str(exc)
+            return
+        got = assemble_terms(s, prof, grid, hbar=hbar, scheme=scheme)
+    assert got.bands.tobytes() == expected.bands.tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(builtin_profiles(),
        st.lists(st.fractions(-3, 3, max_denominator=100), min_size=2, max_size=2, unique=True),
@@ -226,8 +284,9 @@ def test_orderings_at_one_point_share_the_continuum_spectrum(s, data):
     other = invert(xi, zeta, region)
     assert linear_params(other) == linear_params(s)
     prof, pot = gaussian_bump(m0=1, lam=1, sigma=F(1, 2)), harmonic(4)
+    grid = Grid(-2.0, 2.0, 100)
     (a1, a2), (b1, b2) = (
-        [spectrum_of_spec(t, prof, pot, Grid(-2.0, 2.0, n), 3).eigenvalues for n in (100, 200)]
+        [spectrum_of_spec(t, prof, pot, g, 3).eigenvalues for g in (grid, grid.refined())]
         for t in (s, other)
     )
     for j in range(3):
