@@ -97,62 +97,33 @@ def __getattr__(name):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssembledOperator",
+__all__ = sorted([
     "BOUNDARY_NAMES",
     "BuildingBlock",
     "CATALOG_NAMES",
     "ClassLabel",
-    "DualPairReport",
     "DualityParams",
-    "Grid",
     "LinearParams",
-    "MassProfile",
     "OrderingSpec",
-    "POTENTIALS",
-    "PROFILES",
-    "PotentialProfile",
     "REGIONS",
-    "SCHEMES",
-    "SpectrumResult",
     "Surd",
-    "assemble_linear",
-    "assemble_terms",
     "canonicalize",
     "catalog",
     "classify",
-    "constant",
-    "cosine_bump",
-    "derivative_matrix",
     "dual",
-    "dual_pair_report",
-    "effective_potential",
-    "equivalence_defect",
     "errors",
     "exact",
     "from_duality",
-    "gaussian_bump",
-    "hamiltonian",
-    "harmonic",
     "in_allowed_region",
     "invert",
     "is_hermitian",
     "linear_params",
-    "lorentzian",
-    "make_potential",
-    "make_profile",
     "parse",
     "print_canonical",
     "region_samples",
-    "richardson",
-    "smoothed_step",
-    "solve",
     "spec",
-    "spectrum_of_spec",
-    "to_csv",
     "to_duality",
-    "to_json_dict",
     "validate",
     "weighted_mean",
-    "zero_potential",
-]
+    *_HOME,
+])

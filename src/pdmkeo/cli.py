@@ -98,12 +98,13 @@ def _label_doc(label) -> dict:
 
 
 def _bump_psi(grid):
-    # squared after scaling, so psi stays of order one however short [a, b]
+    # each factor scaled before it is squared, so psi stays of order one
+    # however short or long [a, b] is
     a, b = grid.x_min, grid.x_max
-    scale = ((b - a) / 2.0) ** 2
+    half = (b - a) / 2.0
 
     def psi(x):
-        return ((x - a) * (b - x) / scale) ** 2
+        return ((x - a) / half * ((b - x) / half)) ** 2
 
     return psi
 

@@ -10,9 +10,10 @@ Two independent pathways build the same operator:
 
 Agreement of the two pathways at O(h^2) is the numerical oracle for the
 reduction of a multi-term ordering to its linear parameters. A mass
-profile is checked where it is sampled: 1/m at every point an operator
-uses, and the derivatives, which only the linear path reads, in
-`_inverse_mass_and_derivatives`.
+profile is read only through its jet, x -> (1/m, (1/m)', (1/m)''), and
+is checked where it is sampled: 1/m at every point an operator uses, and
+the derivatives, which only the linear path reads, in
+`_inverse_mass_and_derivatives`, against finite differences of 1/m.
 
 Both pathways support a 'central' scheme (pure central-difference
 composition, exactly antisymmetric momentum, used by the oracle) and a
@@ -186,8 +187,13 @@ def derivative_matrix(grid: Grid) -> np.ndarray:
 
 
 def _inverse_mass_at(profile: MassProfile, x: np.ndarray) -> np.ndarray:
-    """1/m at x; the first sample not finite and positive is a NonPositiveMass."""
-    u = np.asarray(profile.inv_m(x), dtype=float)
+    """1/m at x, the jet's first component, checked by `_positive`. The
+    derivatives the jet also returns are not read, so they are not checked."""
+    return _positive(np.asarray(profile.jet(x)[0], dtype=float), x)
+
+
+def _positive(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """u, samples of 1/m at x; the first not finite and positive is a NonPositiveMass."""
     bad = np.flatnonzero(~(np.isfinite(u) & (u > 0)))
     if bad.size:
         i = int(bad[0])
@@ -303,10 +309,12 @@ def effective_potential(
 
 
 def _inverse_mass_and_derivatives(profile: MassProfile, x: np.ndarray):
-    """Samples of 1/m, (1/m)' and (1/m)'' at x. A derivative that is not finite,
-    or unlike central differences of 1/m at every (x.size // 21)-th point, is a ValueError."""
-    u = _inverse_mass_at(profile, x)
-    du, ddu = (np.asarray(f(x), dtype=float) for f in (profile.d_inv_m, profile.dd_inv_m))
+    """The jet's samples of 1/m, (1/m)' and (1/m)'' at x, from one call, 1/m
+    checked as in `_inverse_mass_at`. A derivative (d_inv_m, dd_inv_m) that is
+    not finite, or unlike central differences of 1/m at every
+    (x.size // 21)-th point, is a ValueError."""
+    u, du, ddu = (np.asarray(v, dtype=float) for v in profile.jet(x))
+    _positive(u, x)
     if x.size == 0:
         return u, du, ddu
     # a scale is NaN or inf if one of its samples is
@@ -321,7 +329,8 @@ def _inverse_mass_and_derivatives(profile: MassProfile, x: np.ndarray):
     # a point passes at step h or h/10: it may sit in the tail of a feature h does not resolve
     steps = np.array([[h], [h / 10], [-h], [-h / 10]])
     k = slice(None, None, max(1, x.size // 21))
-    ahead, behind = np.asarray(profile.inv_m((x[k] + steps).ravel()), dtype=float).reshape(2, 2, -1)
+    probe = np.asarray(profile.jet((x[k] + steps).ravel())[0], dtype=float)
+    ahead, behind = probe.reshape(2, 2, -1)
     with np.errstate(all="ignore"):  # a non-finite 1/m off the grid fails below
         err1 = np.fmin(*np.abs((ahead - behind) / (2 * steps[:2]) - du[k])).max()
         err2 = np.fmin(*np.abs((ahead + behind - 2 * u[k]) / steps[:2] ** 2 - ddu[k])).max()

@@ -2,14 +2,23 @@
 
 The kinetic assembly needs 1/m and its first two spatial derivatives
 analytically; finite-difference derivatives would contaminate the O(h^2)
-convergence oracles. A profile is checked where it is sampled, on the
-points of each grid it meets (`discretize`), not when it is built.
+convergence oracles. A profile gives all three through one callable, its
+jet: `jet(x)` returns the samples (1/m, (1/m)', (1/m)'') at the points x,
+each an array shaped like x, from one evaluation. For 1/m = x - 3/2:
+
+    MassProfile("shifted", lambda x: (x - 1.5, np.ones_like(x), np.zeros_like(x)))
+
+A profile is checked where it is sampled, on the points of each grid it
+meets (`discretize`), not when it is built. A builder refuses only a
+parameter that a float cannot carry: one from which the jet would compute
+a constant that overflows, or that is zero where the jet divides by it.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -19,13 +28,11 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class MassProfile:
-    """Mass m(x) given through inv_m = 1/m and two derivatives. Building one
-    checks nothing: each assembly checks the samples it takes."""
+    """Mass m(x) given through its jet x -> (1/m, (1/m)', (1/m)''). Building
+    one checks nothing: each assembly checks the samples it takes."""
 
     name: str
-    inv_m: Callable[[np.ndarray], np.ndarray]
-    d_inv_m: Callable[[np.ndarray], np.ndarray]
-    dd_inv_m: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     parameters: Mapping[str, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -36,6 +43,25 @@ def _params(**kwargs) -> dict[str, Fraction]:
     return {k: Fraction(v) for k, v in kwargs.items()}
 
 
+def _powers(parameter: str, value: float, label: str, base: float, *exponents: int,
+            divisor: bool = True) -> list[float]:
+    """base**k for each k, constants that a jet computes from `parameter`.
+    One that overflows, or is zero while the jet divides by it, is a
+    ValueError naming the parameter."""
+    powers = []
+    for k in exponents:
+        try:
+            power = base**k
+        except OverflowError:
+            power = math.inf
+        if not math.isfinite(power) or (divisor and power == 0):
+            raise ValueError(
+                f"{parameter} = {value!r} is out of range: {label}^{k} = {power!r} in floats"
+            )
+        powers.append(power)
+    return powers
+
+
 def constant(m0=1) -> MassProfile:
     """m(x) = m0."""
     p = _params(m0=m0)
@@ -43,13 +69,12 @@ def constant(m0=1) -> MassProfile:
     if m0f <= 0:
         raise ValueError("m0 must be positive")
     u0 = 1.0 / m0f
-    return MassProfile(
-        name="constant",
-        inv_m=lambda x: u0 * np.ones_like(np.asarray(x, dtype=float)),
-        d_inv_m=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        dd_inv_m=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        parameters=p,
-    )
+
+    def jet(x):
+        x = np.asarray(x, dtype=float)
+        return u0 * np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+
+    return MassProfile("constant", jet, p)
 
 
 def lorentzian(m0=1, lam=1) -> MassProfile:
@@ -58,29 +83,17 @@ def lorentzian(m0=1, lam=1) -> MassProfile:
     m0f, lamf = float(p["m0"]), float(p["lam"])
     if m0f <= 0 or lamf < 0:
         raise ValueError("need m0 > 0 and lam >= 0")
-    return MassProfile(
-        name="lorentzian",
-        inv_m=lambda x: (1.0 + lamf * np.asarray(x, dtype=float) ** 2) / m0f,
-        d_inv_m=lambda x: 2.0 * lamf * np.asarray(x, dtype=float) / m0f,
-        dd_inv_m=lambda x: 2.0 * lamf / m0f * np.ones_like(np.asarray(x, dtype=float)),
-        parameters=p,
-    )
+
+    def jet(x):
+        x = np.asarray(x, dtype=float)
+        return (1.0 + lamf * x**2) / m0f, 2.0 * lamf * x / m0f, 2.0 * lamf / m0f * np.ones_like(x)
+
+    return MassProfile("lorentzian", jet, p)
 
 
-def _reciprocal_derivatives(m0f, f, f1, f2):
-    """Derivatives of 1/(m0 f(x)) from f and its two derivatives."""
-
-    def inv_m(x):
-        return 1.0 / (m0f * f(x))
-
-    def d_inv_m(x):
-        return -f1(x) / (m0f * f(x) ** 2)
-
-    def dd_inv_m(x):
-        fx = f(x)
-        return (2.0 * f1(x) ** 2 - fx * f2(x)) / (m0f * fx**3)
-
-    return inv_m, d_inv_m, dd_inv_m
+def _reciprocal_jet(m0f, f, f1, f2):
+    """Jet of 1/(m0 f(x)) from samples of f and its two derivatives."""
+    return 1.0 / (m0f * f), -f1 / (m0f * f**2), (2.0 * f1**2 - f * f2) / (m0f * f**3)
 
 
 def gaussian_bump(m0=1, lam=1, sigma=1) -> MassProfile:
@@ -89,23 +102,17 @@ def gaussian_bump(m0=1, lam=1, sigma=1) -> MassProfile:
     m0f, lamf, sig = float(p["m0"]), float(p["lam"]), float(p["sigma"])
     if m0f <= 0 or sig <= 0 or lamf <= -1:
         raise ValueError("need m0 > 0, sigma > 0 and lam > -1")
+    sig2, sig4 = _powers("sigma", sig, "sigma", sig, 2, 4)
 
-    def g(x):
-        return np.exp(-np.asarray(x, dtype=float) ** 2 / sig**2)
-
-    def f(x):
-        return 1.0 + lamf * g(x)
-
-    def f1(x):
+    def jet(x):
         x = np.asarray(x, dtype=float)
-        return lamf * g(x) * (-2.0 * x / sig**2)
+        x2 = x**2
+        bump = lamf * np.exp(-x2 / sig2)
+        f1 = bump * (-2.0 * x / sig2)
+        f2 = bump * (4.0 * x2 / sig4 - 2.0 / sig2)
+        return _reciprocal_jet(m0f, 1.0 + bump, f1, f2)
 
-    def f2(x):
-        x = np.asarray(x, dtype=float)
-        return lamf * g(x) * (4.0 * x**2 / sig**4 - 2.0 / sig**2)
-
-    inv_m, d_inv_m, dd_inv_m = _reciprocal_derivatives(m0f, f, f1, f2)
-    return MassProfile("gaussian_bump", inv_m, d_inv_m, dd_inv_m, p)
+    return MassProfile("gaussian_bump", jet, p)
 
 
 def smoothed_step(m0=1, lam="1/2", sigma=1) -> MassProfile:
@@ -114,22 +121,15 @@ def smoothed_step(m0=1, lam="1/2", sigma=1) -> MassProfile:
     m0f, lamf, sig = float(p["m0"]), float(p["lam"]), float(p["sigma"])
     if m0f <= 0 or sig <= 0 or abs(lamf) >= 1:
         raise ValueError("need m0 > 0, sigma > 0 and |lam| < 1")
+    (sig2,) = _powers("sigma", sig, "sigma", sig, 2)
 
-    def t(x):
-        return np.tanh(np.asarray(x, dtype=float) / sig)
+    def jet(x):
+        t = np.tanh(np.asarray(x, dtype=float) / sig)
+        sech2 = 1.0 - t**2
+        return _reciprocal_jet(m0f, 1.0 + lamf * t, lamf * sech2 / sig,
+                               -2.0 * lamf * t * sech2 / sig2)
 
-    def f(x):
-        return 1.0 + lamf * t(x)
-
-    def f1(x):
-        return lamf * (1.0 - t(x) ** 2) / sig
-
-    def f2(x):
-        tx = t(x)
-        return -2.0 * lamf * tx * (1.0 - tx**2) / sig**2
-
-    inv_m, d_inv_m, dd_inv_m = _reciprocal_derivatives(m0f, f, f1, f2)
-    return MassProfile("smoothed_step", inv_m, d_inv_m, dd_inv_m, p)
+    return MassProfile("smoothed_step", jet, p)
 
 
 def cosine_bump(m0=1, lam=1, half_width=1) -> MassProfile:
@@ -143,18 +143,20 @@ def cosine_bump(m0=1, lam=1, half_width=1) -> MassProfile:
     m0f, lamf, lf = float(p["m0"]), float(p["lam"]), float(p["half_width"])
     if m0f <= 0 or lf <= 0 or lamf <= -1:
         raise ValueError("need m0 > 0, half_width > 0 and lam > -1")
-    w = np.pi / (2.0 * lf)
+    # the jet only multiplies by w = pi / (2 half_width), so w may be zero
+    w, w2 = _powers("half_width", lf, "(pi/(2 half_width))", np.pi / (2.0 * lf), 1, 2,
+                    divisor=False)
 
-    def inv_m(x):
-        return (1.0 + lamf * np.cos(w * np.asarray(x, dtype=float)) ** 2) / m0f
+    def jet(x):
+        x = np.asarray(x, dtype=float)
+        phase = 2.0 * w * x
+        return (
+            (1.0 + lamf * np.cos(w * x) ** 2) / m0f,
+            -lamf * w * np.sin(phase) / m0f,
+            -2.0 * lamf * w2 * np.cos(phase) / m0f,
+        )
 
-    def d_inv_m(x):
-        return -lamf * w * np.sin(2.0 * w * np.asarray(x, dtype=float)) / m0f
-
-    def dd_inv_m(x):
-        return -2.0 * lamf * w**2 * np.cos(2.0 * w * np.asarray(x, dtype=float)) / m0f
-
-    return MassProfile("cosine_bump", inv_m, d_inv_m, dd_inv_m, p)
+    return MassProfile("cosine_bump", jet, p)
 
 
 PROFILES = {

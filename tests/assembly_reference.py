@@ -37,8 +37,8 @@ def core_bands(b: np.ndarray, h: float, half: int) -> np.ndarray:
 def reference_assemble_terms(spec, profile, grid, hbar=1.0, scheme="central"):
     """`assemble_terms` as a sum of whole-band products, one per term, for
     a spec, profile and grid that it accepts."""
-    u = np.asarray(profile.inv_m(grid.points), dtype=float)
-    u_core = u if scheme == "central" else np.asarray(profile.inv_m(grid.midpoints), dtype=float)
+    u = np.asarray(profile.jet(grid.points)[0], dtype=float)
+    u_core = u if scheme == "central" else np.asarray(profile.jet(grid.midpoints)[0], dtype=float)
     half = {"central": 2, "staggered": 1}[scheme]
     total = np.zeros((2 * half + 1, grid.n))
     for t in spec.terms:

@@ -104,12 +104,7 @@ def test_staggered_scheme_symmetric_and_consistent():
 
 def test_nonpositive_mass_reports_grid_index():
     # positive on [-1, 1] but not on a wider grid
-    shrinking = MassProfile(
-        name="shrinking",
-        inv_m=lambda x: 2.0 - np.asarray(x, dtype=float) ** 2,
-        d_inv_m=lambda x: -2.0 * np.asarray(x, dtype=float),
-        dd_inv_m=lambda x: -2.0 * np.ones_like(np.asarray(x, dtype=float)),
-    )
+    shrinking = MassProfile("shrinking", lambda x: (2.0 - x**2, -2.0 * x, -2.0 * np.ones_like(x)))
     with pytest.raises(NonPositiveMass) as exc:
         assemble_terms(catalog("BDD"), shrinking, Grid(-3.0, 3.0, 11))
     assert exc.value.index == 0
@@ -134,9 +129,17 @@ def test_profile_probe_accepts_sharp_builtin_profiles():
 
 
 def _with_wrong(profile, which, wrong):
-    parts = {"inv_m": profile.inv_m, "d_inv_m": profile.d_inv_m, "dd_inv_m": profile.dd_inv_m}
-    parts[which] = wrong(parts[which])
-    return MassProfile("wrong", **parts)
+    """`profile` with its jet component `which` (d_inv_m or dd_inv_m), a
+    function of x, replaced by wrong(that function)."""
+    i = ("inv_m", "d_inv_m", "dd_inv_m").index(which)
+    replaced = wrong(lambda x: profile.jet(x)[i])
+
+    def jet(x):
+        parts = list(profile.jet(x))
+        parts[i] = replaced(x)
+        return tuple(parts)
+
+    return MassProfile("wrong", jet)
 
 
 @pytest.mark.parametrize("which", ["d_inv_m", "dd_inv_m"])
@@ -153,12 +156,7 @@ def test_profile_probe_refuses_wrong_derivatives(which, error):
 
 def test_profile_is_checked_on_the_grid_it_is_used_on():
     # 1/m = x - 3/2 is positive on [2, 3] only
-    shifted = MassProfile(
-        name="shifted",
-        inv_m=lambda x: np.asarray(x, dtype=float) - 1.5,
-        d_inv_m=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        dd_inv_m=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
+    shifted = MassProfile("shifted", lambda x: (x - 1.5, np.ones_like(x), np.zeros_like(x)))
     yy = catalog("YY")
     for scheme in ("central", "staggered"):
         assemble_terms(yy, shifted, Grid(2.0, 3.0, 40), scheme=scheme)
@@ -187,10 +185,8 @@ def test_derivatives_wrong_beyond_the_unit_window_are_refused_there():
 
 def test_infinite_inverse_mass_is_a_nonpositive_mass():
     barrier = MassProfile(
-        name="barrier",
-        inv_m=lambda x: np.where(np.abs(np.asarray(x) - 1.5) < 0.2, np.inf, 1.0),
-        d_inv_m=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        dd_inv_m=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        "barrier",
+        lambda x: (np.where(np.abs(x - 1.5) < 0.2, np.inf, 1.0), np.zeros_like(x), np.zeros_like(x)),
     )
     g = Grid(0.0, 3.0, 20)
     first = int(np.flatnonzero(np.abs(g.points - 1.5) < 0.2)[0])
@@ -257,7 +253,7 @@ def test_assemble_linear_zero_params_is_bare_kinetic():
     prof = lorentzian(m0=1, lam=1)
     op = assemble_linear(LinearParams(0, 0, 0), prof, g)
     d = derivative_matrix(g)
-    expected = -0.5 * d @ (prof.inv_m(g.points)[:, None] * d)
+    expected = -0.5 * d @ (prof.jet(g.points)[0][:, None] * d)
     # banded fill and BLAS product round in different orders: ulp-level only
     assert np.allclose(op.matrix, expected, rtol=1e-14, atol=1e-14)
 
@@ -352,7 +348,7 @@ def test_nonhermitian_assembly_is_real():
             # eta (hbar^2/2) diag(u') D exactly (up to the sign of zeros)
             b = assemble_linear(lp, prof, g, hbar=hbar).matrix
             first_order = float(lp.eta) * (hbar**2 / 2.0) * (
-                prof.d_inv_m(g.points)[:, None] * derivative_matrix(g)
+                prof.jet(g.points)[1][:, None] * derivative_matrix(g)
             )
             assert np.array_equal((b - b.T) / 2, (first_order - first_order.T) / 2)
 

@@ -312,11 +312,11 @@ def _dense_core(b_at, grid, scheme):
 
 def dense_terms(s, profile, grid, scheme, hbar=1.0):
     total = np.zeros((grid.n, grid.n))
-    u = profile.inv_m(grid.points)
+    u = profile.jet(grid.points)[0]
     for t in s.terms:
         a = _dense_mass_power(u, t.alpha)
         c = _dense_mass_power(u, t.gamma)
-        core = _dense_core(lambda x: _dense_mass_power(profile.inv_m(x), t.beta), grid, scheme)
+        core = _dense_core(lambda x: _dense_mass_power(profile.jet(x)[0], t.beta), grid, scheme)
         total += float(t.w) * (a[:, None] * core * c[None, :])
     matrix = -(hbar**2 / 2.0) * total
     if linear_params(s).eta == 0:
@@ -326,10 +326,10 @@ def dense_terms(s, profile, grid, scheme, hbar=1.0):
 
 def dense_linear(params, profile, grid, scheme, hbar=1.0):
     x = grid.points
-    matrix = -(hbar**2 / 2.0) * _dense_core(profile.inv_m, grid, scheme)
+    matrix = -(hbar**2 / 2.0) * _dense_core(lambda x: profile.jet(x)[0], grid, scheme)
     matrix = matrix + np.diag(effective_potential(params, profile, x, hbar))
     if params.eta != 0:
-        du = profile.d_inv_m(x)
+        du = profile.jet(x)[1]
         matrix = matrix + float(params.eta) * (hbar**2 / 2.0) * (
             du[:, None] * derivative_matrix(grid)
         )
