@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import warnings
@@ -249,6 +250,8 @@ def cmd_defect(args):
         "n_refined": fine.n,
         "defect_refined": d_fine,
         "ratio": ratio,
+        # the refined grid halves h, so this is the observed order in h
+        "observed_order": math.log2(ratio) if ratio else None,
     }, None
 
 

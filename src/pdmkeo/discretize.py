@@ -18,22 +18,30 @@ the derivatives, which only the linear path reads, in
 Both pathways support a 'central' scheme (pure central-difference
 composition, exactly antisymmetric momentum, used by the oracle) and a
 'staggered' scheme (half-grid mass sampling, free of odd-even
-decoupling, used for spectra). One stencil, `_core`, builds the kinetic
-core d/dx b d/dx of both: the three-point divergence form on the whole
-grid (staggered, b at the midpoints), or on the even and on the odd grid
-points with spacing 2h (central, b at the grid points between them),
+decoupling, used for spectra). One stencil, `_core_diagonals`, builds the
+kinetic core d/dx b d/dx of both: the three-point divergence form on the
+whole grid (staggered, b at the midpoints), or on the even and on the odd
+grid points with spacing 2h (central, b at the grid points between them),
 which is D diag(b) D.
 
 Every operator is banded, pentadiagonal under the central scheme and
 tridiagonal under the staggered one, and is assembled, added and applied
 as its diagonals in O(n). The stencil reaches only offsets 0 and +-l
-(l = 2 central, 1 staggered), so the terms path adds each term straight
-into those three diagonals, entry by entry in the dense product's order,
-and evaluates m^s once per distinct exponent of the ordering: once per
-exponent at the grid points for the outer factors, and once per core
-exponent at the stencil's samples. An ordering with eta = 0 assembles to
-an exactly symmetric operator. `AssembledOperator.matrix` is the one
-dense form, built on demand for export and for tests.
+(l = 2 central, 1 staggered), so both pathways write straight into the
+diagonals they reach. The terms path adds each term into those three,
+entry by entry in the dense product's order, and evaluates m^s once per
+distinct exponent of the ordering: once per exponent at the grid points
+for the outer factors, and once per core exponent at the stencil's
+samples. The linear path writes the core and the effective potential,
+and the first-order term at offsets +-1 when eta != 0. An ordering with
+eta = 0 assembles to an exactly symmetric operator.
+`AssembledOperator.matrix` is the one dense form, built on demand for
+export and for tests.
+
+Each pathway is a public wrapper, which checks the scheme and hbar,
+samples the profile and records the provenance, around a private builder
+that takes the samples. `equivalence_defect` samples the jet at the grid
+points once and hands the samples to both builders.
 """
 
 from __future__ import annotations
@@ -159,13 +167,6 @@ def _dense(bands: np.ndarray) -> np.ndarray:
     return dense
 
 
-def _row_values(a: np.ndarray, half: int) -> np.ndarray:
-    """(2*half+1, n) view whose band cell [r, j] holds a[i] for its row
-    i = j + r - half; cells outside the matrix hold 1.0."""
-    padded = np.concatenate((np.ones(half), a, np.ones(half)))
-    return np.lib.stride_tricks.sliding_window_view(padded, a.size)
-
-
 def _diagonal_bands(v: np.ndarray, half: int) -> np.ndarray:
     """Bands of diag(v) at half-bandwidth `half`."""
     bands = np.zeros((2 * half + 1, v.size), dtype=v.dtype)
@@ -232,15 +233,6 @@ def _core_diagonals(b: np.ndarray, h: float, half: int) -> tuple[np.ndarray, np.
     return -w * (b[:n] + b[half:]), w * b[half:n]
 
 
-def _core(b: np.ndarray, h: float, half: int) -> np.ndarray:
-    """Bands of `_core_diagonals`' stencil; every other cell is zero."""
-    diag, off = _core_diagonals(b, h, half)
-    bands = np.zeros((2 * half + 1, diag.size))
-    bands[half] = diag
-    bands[0, half:] = bands[2 * half, :-half] = off
-    return bands
-
-
 def assemble_terms(
     spec: OrderingSpec,
     profile: MassProfile,
@@ -254,6 +246,24 @@ def assemble_terms(
     _require_scheme_and_hbar(scheme, hbar)
     u = _inverse_mass_at(profile, grid.points)
     u_core = u if scheme == "central" else _inverse_mass_at(profile, grid.midpoints)
+    mean_alpha, mean_gamma, _ = spec._means
+    prov = {
+        "pathway": "terms",
+        "scheme": scheme,
+        "spec": spec.name or "",
+        "terms": [[str(t.w), str(t.alpha), str(t.beta), str(t.gamma)] for t in spec.terms],
+        "profile": profile.name,
+        "eta": str(mean_gamma - mean_alpha),
+    }
+    return _terms_operator(spec, u, u_core, grid, hbar, scheme, prov)
+
+
+def _terms_operator(
+    spec: OrderingSpec, u: np.ndarray, u_core: np.ndarray, grid: Grid, hbar: float,
+    scheme: str, provenance: dict,
+) -> AssembledOperator:
+    """`assemble_terms` from checked samples of 1/m at the grid points (u)
+    and at the core stencil's points (u_core)."""
     half = _HALF_BANDWIDTH[scheme]
     total = np.zeros((2 * half + 1, grid.n))
     # the three diagonals a term reaches; every other cell stays +0.0
@@ -277,8 +287,7 @@ def assemble_terms(
         lower += a[half:] * off * c[:-half] * w
     bands = -(hbar**2 / 2.0) * total
     mean_alpha, mean_gamma, _ = spec._means
-    eta = mean_gamma - mean_alpha
-    if eta == 0:
+    if mean_gamma - mean_alpha == 0:
         # Hermitian in the continuum, so made exactly symmetric: (A + A^T)/2.
         # A[i, j] and A[j, i] differ by rounding for mirrored terms, and by
         # O(h^3) relative to max|A| for orderings that are not mirrored. The
@@ -286,15 +295,7 @@ def assemble_terms(
         mean = bands[0, half:] + bands[2 * half, :-half]
         mean /= 2
         bands[0, half:] = bands[2 * half, :-half] = mean
-    prov = {
-        "pathway": "terms",
-        "scheme": scheme,
-        "spec": spec.name or "",
-        "terms": [[str(t.w), str(t.alpha), str(t.beta), str(t.gamma)] for t in spec.terms],
-        "profile": profile.name,
-        "eta": str(eta),
-    }
-    return AssembledOperator(bands, grid, float(hbar), prov)
+    return AssembledOperator(bands, grid, float(hbar), provenance)
 
 
 def effective_potential(
@@ -358,14 +359,6 @@ def assemble_linear(
     _require_scheme_and_hbar(scheme, hbar)
     u, du, ddu = _inverse_mass_and_derivatives(profile, grid.points)
     u_core = u if scheme == "central" else _inverse_mass_at(profile, grid.midpoints)
-    half = _HALF_BANDWIDTH[scheme]
-    kinetic = -(hbar**2 / 2.0) * _core(u_core, grid.h, half)
-    bands = kinetic + _diagonal_bands(_effective_potential(params, u, du, ddu, hbar), half)
-    if params.eta != 0:
-        # first-order term eta (i hbar / 2) (1/m)' p in position representation
-        bands = bands + _as_float(params.eta, "eta") * (hbar**2 / 2.0) * (
-            _row_values(du, half) * _derivative_bands(grid.n, grid.h, half)
-        )
     prov = {
         "pathway": "linear",
         "scheme": scheme,
@@ -373,7 +366,31 @@ def assemble_linear(
         "profile": profile.name,
         "eta": str(params.eta),
     }
-    return AssembledOperator(bands, grid, float(hbar), prov)
+    return _linear_operator(params, u, du, ddu, u_core, grid, hbar, scheme, prov)
+
+
+def _linear_operator(
+    params: LinearParams, u: np.ndarray, du: np.ndarray, ddu: np.ndarray, u_core: np.ndarray,
+    grid: Grid, hbar: float, scheme: str, provenance: dict,
+) -> AssembledOperator:
+    """`assemble_linear` from checked samples of 1/m, (1/m)' and (1/m)'' at
+    the grid points and of 1/m at the core stencil's points (u_core)."""
+    half = _HALF_BANDWIDTH[scheme]
+    core, off = _core_diagonals(u_core, grid.h, half)
+    c = -(hbar**2 / 2.0)
+    # every cell the stencil and the first-order term do not reach stays +0.0
+    bands = np.zeros((2 * half + 1, grid.n))
+    bands[half] = c * core + _effective_potential(params, u, du, ddu, hbar)
+    bands[0, half:] += c * off
+    bands[2 * half, :-half] += c * off
+    if params.eta != 0:
+        # first-order term eta (i hbar / 2) (1/m)' p = eta (hbar^2 / 2) (1/m)' d/dx
+        # in position representation: row i of d/dx is (psi[i+1] - psi[i-1]) / (2h)
+        k = _as_float(params.eta, "eta") * (hbar**2 / 2.0)
+        inv = 1.0 / (2 * grid.h)
+        bands[half - 1, 1:] += k * (du[:-1] * inv)
+        bands[half + 1, :-1] += k * (du[1:] * -inv)
+    return AssembledOperator(bands, grid, float(hbar), provenance)
 
 
 def _require_scheme_and_hbar(scheme: str, hbar: float) -> None:
@@ -393,10 +410,15 @@ def equivalence_defect(
 ) -> float:
     """||(A_terms - A_linear) psi||_2 / ||psi||_2 for psi sampled from a smooth
     boundary-vanishing test function; the two-pathway agreement oracle.
-    A zero or non-finite ||psi||, or a non-finite defect, is a ValueError."""
-    a = assemble_terms(spec, profile, grid, hbar=hbar, scheme="central")
-    b = assemble_linear(linear_params(spec), profile, grid, hbar=hbar, scheme="central")
-    psi = np.asarray(test_function(grid.points), dtype=float)
+    A zero or non-finite ||psi||, or a non-finite defect, is a ValueError.
+    Both pathways are assembled under the central scheme from one sampling
+    of the profile's jet at the grid points."""
+    _require_scheme_and_hbar("central", hbar)
+    x = grid.points
+    u, du, ddu = _inverse_mass_and_derivatives(profile, x)
+    a = _terms_operator(spec, u, u, grid, hbar, "central", {})
+    b = _linear_operator(linear_params(spec), u, du, ddu, u, grid, hbar, "central", {})
+    psi = np.asarray(test_function(x), dtype=float)
     norm = float(np.linalg.norm(psi))
     if norm == 0:
         raise ValueError("test function vanishes identically on the grid")

@@ -106,10 +106,13 @@ def gaussian_bump(m0=1, lam=1, sigma=1) -> MassProfile:
 
     def jet(x):
         x = np.asarray(x, dtype=float)
-        x2 = x**2
-        bump = lamf * np.exp(-x2 / sig2)
-        f1 = bump * (-2.0 * x / sig2)
-        f2 = bump * (4.0 * x2 / sig4 - 2.0 / sig2)
+        # far out (x^2 overflows beyond |x| ~ 1e154) the bump is exactly 0,
+        # and so are its derivatives, where 0 * inf would give NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            x2 = x**2
+            bump = lamf * np.exp(-x2 / sig2)
+            f1 = np.where(bump == 0, 0.0, bump * (-2.0 * x / sig2))
+            f2 = np.where(bump == 0, 0.0, bump * (4.0 * x2 / sig4 - 2.0 / sig2))
         return _reciprocal_jet(m0f, 1.0 + bump, f1, f2)
 
     return MassProfile("gaussian_bump", jet, p)

@@ -5,15 +5,18 @@ diagonal; spectra default to the staggered scheme (no odd-even grid
 decoupling). `solve` finds the lowest eigenvalues of the banded H by
 bisection in one LAPACK call on its tridiagonal blocks laid end to end:
 a staggered H is one block, and a central H, whose +-1 diagonals are
-zero, is two, on the even and on the odd grid points. Each residual is
-measured for the eigenvector that the same call returns. Every eta = 0
-ordering assembles exactly symmetric and solves, mirrored or not; an eta != 0
-operator is refused as NotSymmetric. Dual-pair spectra are computed and
-reported side by side without asserting equality.
+zero, is two, on the even and on the odd grid points. The call sees H
+scaled by a power of two, so that entries near the float limit solve
+too. Each residual is measured for the eigenvector that the same call
+returns. Every eta = 0 ordering assembles exactly symmetric and solves,
+mirrored or not; an eta != 0 operator is refused as NotSymmetric.
+Dual-pair spectra are computed and reported side by side without
+asserting equality.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -126,12 +129,22 @@ def solve(h: AssembledOperator, k: int) -> SpectrumResult:
     # the blocks laid end to end: the lower-band cell past each block's last
     # point lies outside the matrix and holds zero, so LAPACK splits there
     order = np.concatenate([np.arange(p, n, half) for p in range(half)])
+    # bisection squares the off-diagonals, so H is solved scaled by the
+    # power of two that brings max|H| into [1/2, 1), and the eigenvalues are
+    # scaled back: entries near 1e154 would overflow. The scaling is exact
+    # for every entry that stays a normal float
+    shift = math.frexp(scale)[1]
     values, vecs = eigh_tridiagonal(
-        bands[half, order], bands[2 * half, order][:-1], select="i", select_range=(0, k - 1)
+        np.ldexp(bands[half, order], -shift), np.ldexp(bands[2 * half, order][:-1], -shift),
+        select="i", select_range=(0, k - 1),
     )
+    values = np.ldexp(values, shift)
     x = np.empty((n, values.size))
     x[order] = vecs
-    residuals = np.linalg.norm(h.applied_to(x) - x * values, axis=0)
+    # the norm squares the residual's entries, so it too is taken scaled
+    residuals = np.ldexp(
+        np.linalg.norm(np.ldexp(h.applied_to(x) - x * values, -shift), axis=0), shift
+    )
     return SpectrumResult(
         eigenvalues=tuple(map(float, values)),
         grid=h.grid,

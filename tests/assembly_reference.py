@@ -1,11 +1,13 @@
-"""The term-by-term assembly written out as whole band arrays.
+"""Both assembly pathways written out as whole band arrays.
 
-The independent reference for `pdmkeo.discretize.assemble_terms`, which
-adds each term straight into the three diagonals it reaches: here every
-term is the entrywise product a[i] * core[i, j] * c[j] over the full
-(2l+1, n) band layout, zero rows and cells outside the matrix included,
-with m^s evaluated afresh for every factor of every term. The float
-operations on each entry are the same, so the two agree to the byte.
+The independent references for `pdmkeo.discretize.assemble_terms` and
+`assemble_linear`, which write straight into the diagonals they reach:
+here every term is the entrywise product a[i] * core[i, j] * c[j] over
+the full (2l+1, n) band layout, zero rows and cells outside the matrix
+included, with m^s evaluated afresh for every factor of every term; and
+the canonical form is the sum of whole band arrays for the kinetic core,
+the effective potential and the first-order term. The float operations
+on each entry are the same, so each pair agrees to the byte.
 """
 
 import numpy as np
@@ -54,4 +56,24 @@ def reference_assemble_terms(spec, profile, grid, hbar=1.0, scheme="central"):
         mean = bands[0, half:] + bands[2 * half, :-half]
         mean /= 2
         bands[0, half:] = bands[2 * half, :-half] = mean
+    return AssembledOperator(bands, grid, float(hbar))
+
+
+def reference_assemble_linear(params, profile, grid, hbar=1.0, scheme="central"):
+    """`assemble_linear` as a sum of whole-band arrays, for parameters,
+    a profile and a grid that it accepts."""
+    u, du, ddu = (np.asarray(v, dtype=float) for v in profile.jet(grid.points))
+    u_core = u if scheme == "central" else np.asarray(profile.jet(grid.midpoints)[0], dtype=float)
+    half = {"central": 2, "staggered": 1}[scheme]
+    kinetic = -(hbar**2 / 2.0) * core_bands(u_core, grid.h, half)
+    potential = np.zeros((2 * half + 1, grid.n))
+    xi, zeta = float(params.xi), float(params.zeta)
+    potential[half] = (hbar**2 / 2.0) * (xi * ddu + zeta * du**2 / u)
+    bands = kinetic + potential
+    if params.eta != 0:
+        # eta (hbar^2/2) (1/m)' d/dx, with row i of d/dx (psi[i+1] - psi[i-1]) / (2h)
+        derivative = np.zeros((2 * half + 1, grid.n))
+        derivative[half - 1, 1:] = 1.0 / (2 * grid.h)
+        derivative[half + 1, :-1] = -1.0 / (2 * grid.h)
+        bands = bands + float(params.eta) * (hbar**2 / 2.0) * (row_values(du, half) * derivative)
     return AssembledOperator(bands, grid, float(hbar))

@@ -195,6 +195,37 @@ def test_defect_reports_ratio():
     doc = json.loads(cp.stdout)
     assert doc["n"] == 100 and doc["n_refined"] == 201
     assert 3.0 <= doc["ratio"] <= 4.5
+    # the refined grid halves h, so log2(ratio) is the observed order
+    assert doc["observed_order"] == math.log2(doc["ratio"])
+    assert 1.9 <= doc["observed_order"] <= 2.1
+    # both defects vanish for a constant mass: no ratio, no order
+    cp = run_cli("defect", "--name", "W", "--profile", "constant", "--n", "20")
+    doc = json.loads(cp.stdout)
+    assert doc["defect_refined"] == 0.0
+    assert doc["ratio"] is None and doc["observed_order"] is None
+
+
+def test_spectrum_solves_operators_with_entries_near_the_float_limit():
+    # the entries are ~4e154, and bisection squares the off-diagonals
+    n, x_max = 20, 1e-76
+    cp = run_cli("spectrum", "--name", "BDD", "--profile", "constant", f"--n={n}",
+                 "--xmin=0", f"--xmax={x_max}", "--k=2")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stderr == ""
+    h = x_max / (n + 1)
+    # the staggered box: 2 sin^2(j pi / (2 (n + 1))) / h^2 for m = hbar = 1
+    for j, level in enumerate(json.loads(cp.stdout)["eigenvalues"], start=1):
+        exact = 2 * math.sin(j * math.pi / (2 * (n + 1))) ** 2 / h**2
+        assert abs(level - exact) <= 1e-12 * exact
+
+
+def test_gaussian_bump_derivatives_vanish_where_the_bump_does():
+    # x^2 overflows beyond |x| ~ 1e154, where the bump and its derivatives are 0
+    cp = run_cli("assemble", "--name", "BDD", "--profile", "gaussian_bump", "--pathway", "linear",
+                 "--n=4", "--xmin=0", "--xmax=1e200", "--format", "csv")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stderr == ""
+    assert all(v == 0.0 for row in cp.stdout.split() for v in map(float, row.split(",")))
 
 
 def test_defect_never_prints_non_finite_values():

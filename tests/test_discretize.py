@@ -272,6 +272,34 @@ def test_equivalence_defect_trivial_cases():
     assert equivalence_defect(catalog("BDD"), lorentzian(m0=1, lam=1), g, BUMP) == 0.0
 
 
+def test_equivalence_defect_samples_the_jet_once_per_grid():
+    base = lorentzian(m0=1, lam=1)
+    sizes = []
+
+    def jet(x):
+        sizes.append(np.size(x))
+        return base.jet(x)
+
+    g = Grid(-1.0, 1.0, 50)
+    equivalence_defect(catalog("YY"), MassProfile("counting", jet), g, BUMP)
+    # the grid points, for both pathways, then the derivative probe's shifted points
+    assert len(sizes) == 2 and sizes[0] == g.n
+
+
+@pytest.mark.parametrize("name", ["YY", "BDD", "DA(-1/2)", "vR(-1/4,-1/2)", "MB(-1/3)", "eta"])
+@pytest.mark.parametrize("profile", ["lorentzian", "gaussian_bump", "cosine_bump", "smoothed_step"])
+def test_equivalence_defect_is_the_defect_of_the_public_assemblies(name, profile):
+    # "eta": an eta = 1/2 ordering, which adds the first-order term
+    s = catalog(name) if name != "eta" else spec([(F(1, 2), -1, 0, 0), (F(1, 2), 0, -1, 0)])
+    prof = make_profile(profile)
+    for g, hbar in ((Grid(-1.0, 1.0, 37), 1.0), (Grid(-0.5, 2.0, 120), 0.3)):
+        psi = BUMP(g.points)
+        a = assemble_terms(s, prof, g, hbar=hbar)
+        b = assemble_linear(linear_params(s), prof, g, hbar=hbar)
+        expected = float(np.linalg.norm(a.applied_to(psi) - b.applied_to(psi)) / np.linalg.norm(psi))
+        assert equivalence_defect(s, prof, g, BUMP, hbar=hbar) == expected
+
+
 def test_equivalence_defect_refuses_non_finite_values():
     g = Grid(-1.0, 1.0, 50)
     prof = lorentzian(m0=1, lam=1)

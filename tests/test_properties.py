@@ -14,7 +14,7 @@ hypothesis = pytest.importorskip("hypothesis", exc_type=ImportError)
 
 from hypothesis import given, settings, strategies as st
 
-from assembly_reference import reference_assemble_terms
+from assembly_reference import reference_assemble_linear, reference_assemble_terms
 from classify_reference import reference_classify
 from pdmkeo.classify import classify, dual, in_allowed_region, invert, to_duality
 from pdmkeo.errors import DualOutsideAllowedRegion, OutsideAllowedRegion
@@ -181,13 +181,16 @@ def builtin_profiles(draw):
 
 
 @st.composite
-def assembled_orderings(draw):
+def assembled_orderings(draw, surd_weights=True):
     """A catalog ordering (parameterized families included), a class
     inversion (quadratic-surd exponents in classes vR and I), two terms
-    with quadratic-surd weights, a parsed text, an unmirrored Hermitian
-    ordering or any generated one (mostly eta != 0)."""
-    kind = draw(st.sampled_from(
-        ["catalog", "inverted", "surd weights", "parsed", "unmirrored", "generated"]))
+    with quadratic-surd weights (unless `surd_weights` is false: their
+    means, and so their linear parameters, may be irrational), a parsed
+    text, an unmirrored Hermitian ordering or any generated one (mostly
+    eta != 0)."""
+    kind = draw(st.sampled_from([
+        k for k in ["catalog", "inverted", "surd weights", "parsed", "unmirrored", "generated"]
+        if surd_weights or k != "surd weights"]))
     if kind == "catalog":
         name = draw(st.sampled_from(CATALOG_NAMES))
         arity = {"MB": 1, "LKDA": 1, "DA": 1, "vR": 2}.get(name, 0)
@@ -216,22 +219,46 @@ def test_assembly_matches_the_whole_band_reference_to_the_byte(s, prof, n, schem
     """`assemble_terms` adds each term into the three diagonals it reaches;
     the reference multiplies whole band arrays. The entries, the signed
     zeros in the cells outside the matrix and the refusals agree exactly."""
+    from pdmkeo.discretize import assemble_terms
+
+    _assert_matches_reference(assemble_terms, reference_assemble_terms, s, prof, n, scheme, hbar)
+
+
+def _assert_matches_reference(assemble, reference, first, prof, n, scheme, hbar):
+    """assemble(first, prof, grid, ...) equals reference(...) to the byte,
+    or both refuse with the same message."""
     import numpy as np
 
-    from pdmkeo.discretize import Grid, assemble_terms
+    from pdmkeo.discretize import Grid
 
     grid = Grid(-1.0, 1.0, n)
     # an overflow is compared as the refusal it ends in, not as numpy's warning
     with np.errstate(all="ignore"):
         try:
-            expected = reference_assemble_terms(s, prof, grid, hbar=hbar, scheme=scheme)
+            expected = reference(first, prof, grid, hbar=hbar, scheme=scheme)
         except ValueError as exc:  # entries that are not finite
             with pytest.raises(ValueError) as got:
-                assemble_terms(s, prof, grid, hbar=hbar, scheme=scheme)
+                assemble(first, prof, grid, hbar=hbar, scheme=scheme)
             assert str(got.value) == str(exc)
             return
-        got = assemble_terms(s, prof, grid, hbar=hbar, scheme=scheme)
+        got = assemble(first, prof, grid, hbar=hbar, scheme=scheme)
     assert got.bands.tobytes() == expected.bands.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(assembled_orderings(surd_weights=False), builtin_profiles(), st.integers(3, 60),
+       st.sampled_from(["central", "staggered"]),
+       st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e150]),
+                 st.floats(-10, 10)))
+def test_linear_assembly_matches_the_whole_band_reference_to_the_byte(s, prof, n, scheme, hbar):
+    """`assemble_linear` writes the core, the effective potential and the
+    first-order term into the diagonals they reach; the reference adds
+    whole band arrays. The entries, the signed zeros in every other cell
+    and the refusals agree exactly."""
+    from pdmkeo.discretize import assemble_linear
+
+    _assert_matches_reference(assemble_linear, reference_assemble_linear, linear_params(s),
+                              prof, n, scheme, hbar)
 
 
 @settings(max_examples=50, deadline=None)

@@ -396,6 +396,21 @@ def test_residuals_at_exact_and_degenerate_eigenvalues():
 
 
 @pytest.mark.parametrize("scheme", ["central", "staggered"])
+def test_operators_with_entries_near_the_float_limit_solve(scheme):
+    # entries of ~1e203 (1/m = 1e200): bisection and the residual norm
+    # both square them, so both work on H scaled by a power of two
+    g = Grid(0.0, 0.34, 20)
+    keo = assemble_terms(catalog("BDD"), constant(F(1, 10**200)), g, scheme=scheme)
+    with np.errstate(all="raise"):
+        res = solve(hamiltonian(keo, zero_potential()), 3)
+    exact = solve(hamiltonian(assemble_terms(catalog("BDD"), constant(1), g, scheme=scheme),
+                              zero_potential()), 3)
+    # 1/m scales the operator, and so its eigenvalues, by 1e200
+    assert np.allclose(res.eigenvalues, np.array(exact.eigenvalues) * 1e200, rtol=1e-12, atol=0)
+    assert max(res.residuals) <= 1e-9 * np.max(np.abs(keo.bands))
+
+
+@pytest.mark.parametrize("scheme", ["central", "staggered"])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_small_grids_and_single_point_blocks(n, scheme):
     # at n = 3 the central odd block is a single grid point
