@@ -4,9 +4,10 @@ kinetic-energy operators with position-dependent mass.
 The ordering algebra (weights, exponents, linear ambiguity parameters)
 is exact rational arithmetic throughout; square roots arising from
 inversion are kept as exact quadratic surds. The numerical side builds
-banded 1D finite-difference operators (tridiagonal or pentadiagonal,
-stored as their diagonals) to verify operator identities by convergence
-order and to compare spectra across orderings. The numerical side needs
+banded 1D finite-difference operators (tridiagonal under the staggered
+scheme that every path uses, stored as their diagonals) to verify
+operator identities by convergence order and to compare spectra across
+orderings. The numerical side needs
 numpy and is imported on first use, so the exact algebra loads without it.
 """
 

@@ -220,9 +220,9 @@ def cmd_assemble(args):
     profile = make_profile(args.profile)
     grid = _grid(args)
     if args.pathway == "linear":
-        op = assemble_linear(linear_params(spec), profile, grid, hbar=args.hbar, scheme=args.scheme)
+        op = assemble_linear(linear_params(spec), profile, grid, hbar=args.hbar)
     else:
-        op = assemble_terms(spec, profile, grid, hbar=args.hbar, scheme=args.scheme)
+        op = assemble_terms(spec, profile, grid, hbar=args.hbar)
     if args.format == "csv":
         return None, to_csv(op)
     return to_json_dict(op), None
@@ -263,8 +263,7 @@ def cmd_spectrum(args):
     profile = make_profile(args.profile)
     potential = make_potential(args.potential)
     grid = _grid(args)
-    result = spectrum_of_spec(spec, profile, potential, grid, args.k, hbar=args.hbar,
-                              scheme=args.scheme)
+    result = spectrum_of_spec(spec, profile, potential, grid, args.k, hbar=args.hbar)
     lp = linear_params(spec)
     doc = {
         "params": {
@@ -274,7 +273,7 @@ def cmd_spectrum(args):
             "eta": str(lp.eta),
             "profile": profile.name,
             "potential": potential.name,
-            "scheme": args.scheme,
+            "scheme": "staggered",
             "hbar": args.hbar,
         },
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n": grid.n, "h": grid.h},
@@ -420,7 +419,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     _add_spec_source(p, config)
     _option(p, config, "--profile", required=True, help="mass profile, e.g. lorentzian:m0=1,lam=1")
     _option(p, config, "--pathway", choices=("terms", "linear"), default="terms")
-    _option(p, config, "--scheme", choices=("central", "staggered"), default="central")
     _add_grid(p, config)
 
     p = add_parser("defect", cmd_defect, help="two-pathway equivalence defect at n and 2n")
@@ -433,7 +431,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     _option(p, config, "--profile", required=True)
     _option(p, config, "--potential", default="zero", help="e.g. zero or harmonic:k=1")
     _option(p, config, "--k", type=int, default=5)
-    _option(p, config, "--scheme", choices=("central", "staggered"), default="staggered")
     _add_grid(p, config, default_n=500)
 
     p = add_parser("dualpair", cmd_dualpair, help="side-by-side spectra of a (xi, theta) dual pair")

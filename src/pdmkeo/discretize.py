@@ -15,33 +15,35 @@ is checked where it is sampled: 1/m at every point an operator uses, and
 the derivatives, which only the linear path reads, in
 `_inverse_mass_and_derivatives`, against finite differences of 1/m.
 
-Both pathways support a 'central' scheme (pure central-difference
-composition, exactly antisymmetric momentum, used by the oracle) and a
-'staggered' scheme (half-grid mass sampling, free of odd-even
-decoupling, used for spectra). One stencil, `_core_diagonals`, builds the
-kinetic core d/dx b d/dx of both: the three-point divergence form on the
-whole grid (staggered, b at the midpoints), or on the even and on the odd
-grid points with spacing 2h (central, b at the grid points between them),
-which is D diag(b) D.
-
-Every operator is banded, pentadiagonal under the central scheme and
-tridiagonal under the staggered one, and is assembled, added and applied
-as its diagonals in O(n). The stencil reaches only offsets 0 and +-l
-(l = 2 central, 1 staggered), so both pathways write straight into the
-diagonals they reach. The terms path adds each term into those three,
-entry by entry in the dense product's order, and evaluates m^s once per
-distinct exponent of the ordering: once per exponent at the grid points
-for the outer factors, and once per core exponent at the stencil's
-samples. The linear path writes the core and the effective potential,
-and the first-order term at offsets +-1 when eta != 0. An ordering with
+Both pathways use the staggered scheme: the kinetic core d/dx b d/dx is
+the three-point divergence stencil `_core_diagonals` with b sampled at
+the n + 1 midpoints, so the operator is tridiagonal and free of odd-even
+decoupling, and its spectra converge to the continuum levels at O(h^2).
+It is assembled, added and applied as its diagonals in O(n). The terms
+path adds each term into the three diagonals, entry by entry in the dense
+product's order, and evaluates m^s once per distinct exponent of the
+ordering: once per exponent at the grid points for the outer factors, and
+once per core exponent at the midpoints. The linear path writes the core
+and the effective potential, and the first-order term, whose central
+difference also sits at offsets +-1, when eta != 0. An ordering with
 eta = 0 assembles to an exactly symmetric operator.
 `AssembledOperator.matrix` is the one dense form, built on demand for
 export and for tests.
 
-Each pathway is a public wrapper, which checks the scheme and hbar,
-samples the profile and records the provenance, around a private builder
-that takes the samples. `equivalence_defect` samples the jet at the grid
-points once and hands the samples to both builders.
+`assemble_terms` alone also takes scheme='central', the pentadiagonal
+D diag(m^b) D composition (the same stencil on the even and on the odd
+grid points with spacing 2h, b at the grid points between them). Its
+spectra are those of two boxes with Neumann-type ends, not of the
+Dirichlet problem, so nothing in the package picks it; it is kept, with
+`SCHEMES`, `_HALF_BANDWIDTH` and the stencil's stride, only because the
+benchmark's `spectra` workload assembles it, and goes when that workload
+stops doing so.
+
+Each pathway is a public wrapper, which checks hbar, samples the profile
+and records the provenance, around a private function that takes the
+samples (`_terms_operator`, `_linear_operator`). `equivalence_defect`
+samples the jet once at the grid points and once at the midpoints and
+hands the samples to both.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .errors import NonPositiveMass
 from .ordering import LinearParams, OrderingSpec, linear_params
 from .profiles import MassProfile
 
+# the schemes `assemble_terms` takes; central only for the benchmark (see above)
 SCHEMES = ("central", "staggered")
 # half-bandwidth of each scheme's operator, the stride of its three-point
 # stencil: D diag(b) D couples grid points two apart, the staggered form
@@ -113,11 +116,12 @@ class AssembledOperator:
     eta (i hbar/2)(1/m)' p = eta (hbar^2/2)(1/m)' d/dx are real
     operators. It is scipy's banded layout: shape (2l+1, n) with
     `bands[l + i - j, j] == A[i, j]`, where the half-bandwidth l is 1 for
-    the staggered scheme (tridiagonal) and 2 for the central one
-    (pentadiagonal). The cells of `bands` that fall outside the n x n
-    matrix stand for the entries outside the band: every operation treats
-    them like any other entry, so they hold the signed zero that dense
-    arithmetic leaves there, and `matrix` writes that value off the band.
+    the staggered scheme (tridiagonal) and 2 for the central one that
+    `assemble_terms` also takes (pentadiagonal). The cells of `bands` that
+    fall outside the n x n matrix stand for the entries outside the band:
+    every operation treats them like any other entry, so they hold the
+    signed zero that dense arithmetic leaves there, and `matrix` writes
+    that value off the band.
     Every entry is finite: an overflowing operator is a ValueError.
     """
 
@@ -165,13 +169,6 @@ def _dense(bands: np.ndarray) -> np.ndarray:
         i = np.arange(max(0, -k), min(n, n - k))
         dense[i, i + k] = bands[r, i + k]
     return dense
-
-
-def _diagonal_bands(v: np.ndarray, half: int) -> np.ndarray:
-    """Bands of diag(v) at half-bandwidth `half`."""
-    bands = np.zeros((2 * half + 1, v.size), dtype=v.dtype)
-    bands[half] = v
-    return bands
 
 
 def _derivative_bands(n: int, h: float, half: int) -> np.ndarray:
@@ -238,12 +235,15 @@ def assemble_terms(
     profile: MassProfile,
     grid: Grid,
     hbar: float = 1.0,
-    scheme: str = "central",
+    scheme: str = "staggered",
 ) -> AssembledOperator:
     """Term-by-term banded composition of a weighted multi-term ordering:
     each term m^a p m^b p m^c contributes diag(m^a) core(m^b) diag(m^c).
-    An ordering with eta = 0 gives the exactly symmetric (A + A^T)/2."""
-    _require_scheme_and_hbar(scheme, hbar)
+    An ordering with eta = 0 gives the exactly symmetric (A + A^T)/2.
+    scheme='central' is kept only for the benchmark (see the module doc)."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    _require_hbar(hbar)
     u = _inverse_mass_at(profile, grid.points)
     u_core = u if scheme == "central" else _inverse_mass_at(profile, grid.midpoints)
     mean_alpha, mean_gamma, _ = spec._means
@@ -263,7 +263,8 @@ def _terms_operator(
     scheme: str, provenance: dict,
 ) -> AssembledOperator:
     """`assemble_terms` from checked samples of 1/m at the grid points (u)
-    and at the core stencil's points (u_core)."""
+    and at the core stencil's points (u_core): the midpoints, or the grid
+    points again under the central scheme."""
     half = _HALF_BANDWIDTH[scheme]
     total = np.zeros((2 * half + 1, grid.n))
     # the three diagonals a term reaches; every other cell stays +0.0
@@ -313,7 +314,8 @@ def _inverse_mass_and_derivatives(profile: MassProfile, x: np.ndarray):
     """The jet's samples of 1/m, (1/m)' and (1/m)'' at x, from one call, 1/m
     checked as in `_inverse_mass_at`. A derivative (d_inv_m, dd_inv_m) that is
     not finite, or unlike central differences of 1/m at every
-    (x.size // 21)-th point, is a ValueError."""
+    (x.size // 21)-th point by more than the rounding of x explains, is a
+    ValueError."""
     u, du, ddu = (np.asarray(v, dtype=float) for v in profile.jet(x))
     _positive(u, x)
     if x.size == 0:
@@ -332,9 +334,16 @@ def _inverse_mass_and_derivatives(profile: MassProfile, x: np.ndarray):
     k = slice(None, None, max(1, x.size // 21))
     probe = np.asarray(profile.jet((x[k] + steps).ravel())[0], dtype=float)
     ahead, behind = probe.reshape(2, 2, -1)
+    # x + h and the profile's own arithmetic on x round at eps |x|, which
+    # moves a sample of 1/m by up to eps |x| |u'|: far from 0 that swamps the
+    # differences, and where x + h rounds to x it is all they hold
+    noise = 2 * np.finfo(float).eps * np.abs(x[k]) * scale1
+    step = steps[:2]
     with np.errstate(all="ignore"):  # a non-finite 1/m off the grid fails below
-        err1 = np.fmin(*np.abs((ahead - behind) / (2 * steps[:2]) - du[k])).max()
-        err2 = np.fmin(*np.abs((ahead + behind - 2 * u[k]) / steps[:2] ** 2 - ddu[k])).max()
+        err1 = np.fmin(*(np.abs((ahead - behind) / (2 * step) - du[k]) - noise / step)).max()
+        # differences from u first: ahead + behind can overflow where they do not
+        err2 = np.fmin(*(np.abs(((ahead - u[k]) + (behind - u[k])) / step**2 - ddu[k])
+                         - 4 * noise / step**2)).max()
     for name, err, tol in (("d_inv_m", err1, 1e-5 * max(scale, scale1)),
                            ("dd_inv_m", err2, 1e-3 * max(scale, scale2))):
         if not err <= tol:
@@ -353,49 +362,47 @@ def assemble_linear(
     profile: MassProfile,
     grid: Grid,
     hbar: float = 1.0,
-    scheme: str = "central",
 ) -> AssembledOperator:
-    """Canonical assembly p(1/m)p/2 + defect term + effective potential."""
-    _require_scheme_and_hbar(scheme, hbar)
+    """Canonical assembly p(1/m)p/2 + defect term + effective potential,
+    tridiagonal (the staggered scheme)."""
+    _require_hbar(hbar)
     u, du, ddu = _inverse_mass_and_derivatives(profile, grid.points)
-    u_core = u if scheme == "central" else _inverse_mass_at(profile, grid.midpoints)
+    u_mid = _inverse_mass_at(profile, grid.midpoints)
     prov = {
         "pathway": "linear",
-        "scheme": scheme,
+        "scheme": "staggered",
         "params": {"xi": str(params.xi), "zeta": str(params.zeta), "eta": str(params.eta)},
         "profile": profile.name,
         "eta": str(params.eta),
     }
-    return _linear_operator(params, u, du, ddu, u_core, grid, hbar, scheme, prov)
+    return _linear_operator(params, u, du, ddu, u_mid, grid, hbar, prov)
 
 
 def _linear_operator(
-    params: LinearParams, u: np.ndarray, du: np.ndarray, ddu: np.ndarray, u_core: np.ndarray,
-    grid: Grid, hbar: float, scheme: str, provenance: dict,
+    params: LinearParams, u: np.ndarray, du: np.ndarray, ddu: np.ndarray, u_mid: np.ndarray,
+    grid: Grid, hbar: float, provenance: dict,
 ) -> AssembledOperator:
     """`assemble_linear` from checked samples of 1/m, (1/m)' and (1/m)'' at
-    the grid points and of 1/m at the core stencil's points (u_core)."""
-    half = _HALF_BANDWIDTH[scheme]
-    core, off = _core_diagonals(u_core, grid.h, half)
+    the grid points and of 1/m at the midpoints (u_mid)."""
+    core, off = _core_diagonals(u_mid, grid.h, 1)
     c = -(hbar**2 / 2.0)
-    # every cell the stencil and the first-order term do not reach stays +0.0
-    bands = np.zeros((2 * half + 1, grid.n))
-    bands[half] = c * core + _effective_potential(params, u, du, ddu, hbar)
-    bands[0, half:] += c * off
-    bands[2 * half, :-half] += c * off
+    # the core and the first-order term both sit at offsets +-1; the two
+    # cells outside the matrix stay +0.0
+    bands = np.zeros((3, grid.n))
+    bands[1] = c * core + _effective_potential(params, u, du, ddu, hbar)
+    bands[0, 1:] += c * off
+    bands[2, :-1] += c * off
     if params.eta != 0:
         # first-order term eta (i hbar / 2) (1/m)' p = eta (hbar^2 / 2) (1/m)' d/dx
         # in position representation: row i of d/dx is (psi[i+1] - psi[i-1]) / (2h)
         k = _as_float(params.eta, "eta") * (hbar**2 / 2.0)
         inv = 1.0 / (2 * grid.h)
-        bands[half - 1, 1:] += k * (du[:-1] * inv)
-        bands[half + 1, :-1] += k * (du[1:] * -inv)
+        bands[0, 1:] += k * (du[:-1] * inv)
+        bands[2, :-1] += k * (du[1:] * -inv)
     return AssembledOperator(bands, grid, float(hbar), provenance)
 
 
-def _require_scheme_and_hbar(scheme: str, hbar: float) -> None:
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+def _require_hbar(hbar: float) -> None:
     # the operators scale with hbar^2, which must be finite too
     if not (math.isfinite(hbar) and math.isfinite(hbar * hbar)):
         raise ValueError(f"need a finite hbar with a finite hbar^2, got hbar = {hbar!r}")
@@ -411,13 +418,15 @@ def equivalence_defect(
     """||(A_terms - A_linear) psi||_2 / ||psi||_2 for psi sampled from a smooth
     boundary-vanishing test function; the two-pathway agreement oracle.
     A zero or non-finite ||psi||, or a non-finite defect, is a ValueError.
-    Both pathways are assembled under the central scheme from one sampling
-    of the profile's jet at the grid points."""
-    _require_scheme_and_hbar("central", hbar)
+    Both pathways are assembled under the staggered scheme from one sampling
+    of the profile's jet at the grid points, with the derivative probe, and
+    one at the midpoints."""
+    _require_hbar(hbar)
     x = grid.points
     u, du, ddu = _inverse_mass_and_derivatives(profile, x)
-    a = _terms_operator(spec, u, u, grid, hbar, "central", {})
-    b = _linear_operator(linear_params(spec), u, du, ddu, u, grid, hbar, "central", {})
+    u_mid = _inverse_mass_at(profile, grid.midpoints)
+    a = _terms_operator(spec, u, u_mid, grid, hbar, "staggered", {})
+    b = _linear_operator(linear_params(spec), u, du, ddu, u_mid, grid, hbar, {})
     psi = np.asarray(test_function(x), dtype=float)
     norm = float(np.linalg.norm(psi))
     if norm == 0:

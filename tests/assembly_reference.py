@@ -36,7 +36,7 @@ def core_bands(b: np.ndarray, h: float, half: int) -> np.ndarray:
     return bands
 
 
-def reference_assemble_terms(spec, profile, grid, hbar=1.0, scheme="central"):
+def reference_assemble_terms(spec, profile, grid, hbar=1.0, scheme="staggered"):
     """`assemble_terms` as a sum of whole-band products, one per term, for
     a spec, profile and grid that it accepts."""
     u = np.asarray(profile.jet(grid.points)[0], dtype=float)
@@ -59,13 +59,13 @@ def reference_assemble_terms(spec, profile, grid, hbar=1.0, scheme="central"):
     return AssembledOperator(bands, grid, float(hbar))
 
 
-def reference_assemble_linear(params, profile, grid, hbar=1.0, scheme="central"):
+def reference_assemble_linear(params, profile, grid, hbar=1.0):
     """`assemble_linear` as a sum of whole-band arrays, for parameters,
     a profile and a grid that it accepts."""
     u, du, ddu = (np.asarray(v, dtype=float) for v in profile.jet(grid.points))
-    u_core = u if scheme == "central" else np.asarray(profile.jet(grid.midpoints)[0], dtype=float)
-    half = {"central": 2, "staggered": 1}[scheme]
-    kinetic = -(hbar**2 / 2.0) * core_bands(u_core, grid.h, half)
+    u_mid = np.asarray(profile.jet(grid.midpoints)[0], dtype=float)
+    half = 1
+    kinetic = -(hbar**2 / 2.0) * core_bands(u_mid, grid.h, half)
     potential = np.zeros((2 * half + 1, grid.n))
     xi, zeta = float(params.xi), float(params.zeta)
     potential[half] = (hbar**2 / 2.0) * (xi * ddu + zeta * du**2 / u)

@@ -191,8 +191,7 @@ def test_criterion_8_spectral_sanity():
     with criterion(8, "constant-mass well spectrum, n=2000", 60.0):
         grid = pk.Grid(0.0, float(np.pi), 2000)
         result = pk.spectrum_of_spec(
-            pk.catalog("BDD"), pk.constant(1), pk.zero_potential(), grid, 5,
-            scheme="staggered",
+            pk.catalog("BDD"), pk.constant(1), pk.zero_potential(), grid, 5
         )
         for computed, exact in zip(result.eigenvalues, (0.5, 2.0, 4.5, 8.0, 12.5)):
             assert abs(computed - exact) / exact < 0.01

@@ -160,7 +160,7 @@ def test_assemble_json_envelope(tmp_path):
     assert doc["grid"]["n"] == 8
     assert len(doc["matrix"]) == 8
     assert doc["provenance"]["pathway"] == "terms"
-    assert doc["provenance"]["scheme"] == "central"
+    assert doc["provenance"]["scheme"] == "staggered"
 
 
 def test_assemble_linear_pathway_csv():
@@ -170,7 +170,15 @@ def test_assemble_linear_pathway_csv():
     )
     rows = [line.split(",") for line in cp.stdout.strip().split("\n")]
     assert len(rows) == 4 and len(rows[0]) == 4
-    assert float(rows[0][2]) == -0.125
+    # tridiagonal: -1/(2 m h^2) next to the diagonal, nothing beyond
+    assert rows[0][1:] == ["-0.5", "0.0", "0.0"]
+
+
+@pytest.mark.parametrize("command", ["assemble", "spectrum"])
+def test_scheme_is_not_an_option(command):
+    cp = run_cli(command, "--name", "BDD", "--profile", "constant", "--scheme", "central")
+    assert cp.returncode == 2
+    assert "unrecognized arguments: --scheme" in cp.stderr
 
 
 def test_assemble_builds_only_the_requested_format(monkeypatch, capsys):

@@ -79,10 +79,7 @@ def argvs(draw):
     if draw(st.booleans()):
         argv.append(f"--hbar={draw(extreme_floats)!r}")
     if command == "assemble":
-        argv += ["--pathway", draw(st.sampled_from(("terms", "linear"))),
-                 "--scheme", draw(st.sampled_from(("central", "staggered")))]
-    if command == "spectrum":
-        argv += ["--scheme", draw(st.sampled_from(("central", "staggered")))]
+        argv += ["--pathway", draw(st.sampled_from(("terms", "linear")))]
     if command in ("spectrum", "dualpair"):
         argv.append(f"--k={draw(st.integers(1, 8))}")
     if command == "defect":  # it has no CSV form

@@ -74,7 +74,7 @@ def test_derivative_matrix_second_order():
 def test_constant_mass_bdd_is_wide_laplacian():
     g = Grid(-1.0, 1.0, 20)
     m0 = 2.0
-    op = assemble_terms(catalog("BDD"), constant(2), g)
+    op = assemble_terms(catalog("BDD"), constant(2), g, scheme="central")
     d = derivative_matrix(g)
     expected = -(1.0 / (2 * m0)) * (d @ d)
     assert np.allclose(op.matrix, expected, rtol=1e-14, atol=0)
@@ -154,13 +154,35 @@ def test_profile_probe_refuses_wrong_derivatives(which, error):
         effective_potential(yy, wrong, np.linspace(-1.0, 1.0, 50))
 
 
+def test_profile_probe_accepts_right_derivatives_far_from_zero():
+    # x + h rounds to x at 1e16, and near 1e8 rounding x moves 1/m by more
+    # than the tolerance over the step
+    yy = linear_params(catalog("YY"))
+    for x_min, x_max in ((0.0, 1e16), (1e8, 1e8 + 10)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assemble_linear(yy, cosine_bump(m0=1, lam=1), Grid(x_min, x_max, 45))
+    # 1/m ~ x^2 near 1e154: the probe passes, but (1/m)'^2 and sums of two
+    # samples of 1/m overflow, though the operator's entries would not
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="operator entries are not finite"):
+            assemble_linear(yy, lorentzian(m0=1, lam=1), Grid(0.0, 1e154, 45))
+
+
+@pytest.mark.parametrize("x_min, x_max", [(-1.0, 1.0), (1e8, 1e8 + 10)])
+def test_profile_probe_refuses_a_slope_off_by_one_percent_far_from_zero(x_min, x_max):
+    wrong = _with_wrong(cosine_bump(m0=1, lam=1), "d_inv_m", lambda f: lambda x: 1.01 * f(x))
+    with pytest.raises(ValueError, match="'wrong': d_inv_m disagrees"):
+        assemble_linear(linear_params(catalog("YY")), wrong, Grid(x_min, x_max, 45))
+
+
 def test_profile_is_checked_on_the_grid_it_is_used_on():
     # 1/m = x - 3/2 is positive on [2, 3] only
     shifted = MassProfile("shifted", lambda x: (x - 1.5, np.ones_like(x), np.zeros_like(x)))
     yy = catalog("YY")
     for scheme in ("central", "staggered"):
         assemble_terms(yy, shifted, Grid(2.0, 3.0, 40), scheme=scheme)
-        assemble_linear(linear_params(yy), shifted, Grid(2.0, 3.0, 40), scheme=scheme)
+    assemble_linear(linear_params(yy), shifted, Grid(2.0, 3.0, 40))
     psi = lambda x: ((x - 2) * (3 - x)) ** 4
     d1, d2 = (equivalence_defect(yy, shifted, Grid(2.0, 3.0, n), psi) for n in (200, 400))
     assert 3.5 <= d1 / d2 <= 4.5
@@ -197,8 +219,8 @@ def test_infinite_inverse_mass_is_a_nonpositive_mass():
             with pytest.raises(NonPositiveMass) as exc:
                 assemble_terms(yy, barrier, g, scheme=scheme)
             assert exc.value.index == first and exc.value.value == np.inf
-            with pytest.raises(NonPositiveMass):
-                assemble_linear(linear_params(yy), barrier, g, scheme=scheme)
+        with pytest.raises(NonPositiveMass):
+            assemble_linear(linear_params(yy), barrier, g)
 
 
 def test_non_finite_derivative_is_refused_by_name():
@@ -252,8 +274,10 @@ def test_assemble_linear_zero_params_is_bare_kinetic():
     g = Grid(-1.0, 1.0, 40)
     prof = lorentzian(m0=1, lam=1)
     op = assemble_linear(LinearParams(0, 0, 0), prof, g)
-    d = derivative_matrix(g)
-    expected = -0.5 * d @ (prof.jet(g.points)[0][:, None] * d)
+    # -(1/2) d/dx u d/dx = (1/2) G^T diag(u) G, with G the forward difference
+    # from the grid points (and the Dirichlet ends) to the midpoints
+    grad = (np.eye(g.n + 1, g.n) - np.eye(g.n + 1, g.n, k=-1)) / g.h
+    expected = 0.5 * grad.T @ (prof.jet(g.midpoints)[0][:, None] * grad)
     # banded fill and BLAS product round in different orders: ulp-level only
     assert np.allclose(op.matrix, expected, rtol=1e-14, atol=1e-14)
 
@@ -282,8 +306,9 @@ def test_equivalence_defect_samples_the_jet_once_per_grid():
 
     g = Grid(-1.0, 1.0, 50)
     equivalence_defect(catalog("YY"), MassProfile("counting", jet), g, BUMP)
-    # the grid points, for both pathways, then the derivative probe's shifted points
-    assert len(sizes) == 2 and sizes[0] == g.n
+    # the grid points, for both pathways, then the derivative probe's shifted
+    # points, then the midpoints, for both pathways' kinetic cores
+    assert len(sizes) == 3 and sizes[0] == g.n and sizes[2] == g.n + 1
 
 
 @pytest.mark.parametrize("name", ["YY", "BDD", "DA(-1/2)", "vR(-1/4,-1/2)", "MB(-1/3)", "eta"])
@@ -325,8 +350,8 @@ def test_operators_with_overflowing_entries_are_refused():
         for scheme in ("central", "staggered"):
             with pytest.raises(ValueError, match="operator entries are not finite"):
                 assemble_terms(yy, prof, g, hbar=1e100, scheme=scheme)
-            with pytest.raises(ValueError, match="operator entries are not finite"):
-                assemble_linear(linear_params(yy), prof, g, hbar=1e100, scheme=scheme)
+        with pytest.raises(ValueError, match="operator entries are not finite"):
+            assemble_linear(linear_params(yy), prof, g, hbar=1e100)
         assert np.isfinite(assemble_terms(yy, prof, g, hbar=1e60).bands).all()
 
 
@@ -337,14 +362,14 @@ def test_equivalence_defect_second_order_on_flat_profile():
     assert 3.5 <= d1 / d2 <= 4.5
 
 
-def test_equivalence_defect_boundary_limited_on_sloped_profile():
-    # when (1/m)' != 0 at the interval ends the two pathways disagree at
-    # O(h) in the first and last rows, so the norm ratio sits near 2^1.5,
-    # not 4; the clean O(h^2) oracle needs endpoint-flat profiles
+def test_equivalence_defect_second_order_on_sloped_profile():
+    # (1/m)' != 0 at the interval ends: the staggered pathways still agree
+    # at O(h^2) there (D diag(b) D met the ends at O(h), a ratio near 2^1.5)
     prof = lorentzian(m0=1, lam=1)
-    d1 = equivalence_defect(catalog("ZK"), prof, Grid(-1.0, 1.0, 200), BUMP)
-    d2 = equivalence_defect(catalog("ZK"), prof, Grid(-1.0, 1.0, 400), BUMP)
-    assert 2.4 <= d1 / d2 <= 3.2
+    g = Grid(-1.0, 1.0, 200)
+    d1 = equivalence_defect(catalog("ZK"), prof, g, BUMP)
+    d2 = equivalence_defect(catalog("ZK"), prof, g.refined(), BUMP)
+    assert 3.5 <= d1 / d2 <= 4.5
 
 
 def test_same_point_orderings_agree_at_second_order():
@@ -370,15 +395,17 @@ def test_nonhermitian_assembly_is_real():
         for hbar in (1.0, 2.0):
             for scheme in ("central", "staggered"):
                 assert assemble_terms(s, prof, g, hbar=hbar, scheme=scheme).bands.dtype == np.float64
-                assert assemble_linear(lp, prof, g, hbar=hbar, scheme=scheme).bands.dtype == np.float64
-            # the central kinetic core has zero +-1 diagonals, so the linear
-            # pathway's antisymmetric part equals that of the first-order term
-            # eta (hbar^2/2) diag(u') D exactly (up to the sign of zeros)
-            b = assemble_linear(lp, prof, g, hbar=hbar).matrix
+            op = assemble_linear(lp, prof, g, hbar=hbar)
+            assert op.bands.dtype == np.float64
+            # the kinetic core is symmetric, so the linear pathway's
+            # antisymmetric part is that of the first-order term
+            # eta (hbar^2/2) diag(u') D, up to the rounding of the shared cells
+            b = op.matrix
             first_order = float(lp.eta) * (hbar**2 / 2.0) * (
                 prof.jet(g.points)[1][:, None] * derivative_matrix(g)
             )
-            assert np.array_equal((b - b.T) / 2, (first_order - first_order.T) / 2)
+            assert np.allclose((b - b.T) / 2, (first_order - first_order.T) / 2,
+                               rtol=0, atol=1e-14 * np.max(np.abs(b)))
 
 
 def test_antisymmetric_parts_track_hermiticity_defect():
@@ -442,13 +469,13 @@ def test_exports_round_trip_and_shape():
     assert np.array_equal(parsed, op.matrix)
     # byte for byte, with the signed zeros off the band
     assert csv_text == (
-        "3.1249999999999996,-0.0,-3.1249999999999996,-0.0\n"
-        "-0.0,6.249999999999999,-0.0,-3.1249999999999996\n"
-        "-3.1249999999999996,-0.0,6.249999999999999,-0.0\n"
-        "-0.0,-3.1249999999999996,-0.0,3.1249999999999996\n"
+        "24.999999999999996,-12.499999999999998,-0.0,-0.0\n"
+        "-12.499999999999998,24.999999999999996,-12.499999999999998,-0.0\n"
+        "-0.0,-12.499999999999998,24.999999999999996,-12.499999999999998\n"
+        "-0.0,-0.0,-12.499999999999998,24.999999999999996\n"
     )
     params = linear_params(spec([(1, -1, 0, 0)]))  # 1/2 * m^(-1) p p
-    first_order_op = assemble_linear(params, lorentzian(), Grid(0.0, 1.0, 3), scheme="staggered")
+    first_order_op = assemble_linear(params, lorentzian(), Grid(0.0, 1.0, 3))
     assert to_csv(first_order_op) == (
         "17.25,-8.625,0.0\n"
         "-10.125,20.25,-10.125\n"

@@ -324,9 +324,9 @@ def dense_terms(s, profile, grid, scheme, hbar=1.0):
     return matrix
 
 
-def dense_linear(params, profile, grid, scheme, hbar=1.0):
+def dense_linear(params, profile, grid, hbar=1.0):
     x = grid.points
-    matrix = -(hbar**2 / 2.0) * _dense_core(lambda x: profile.jet(x)[0], grid, scheme)
+    matrix = -(hbar**2 / 2.0) * _dense_staggered_core(profile.jet(grid.midpoints)[0], grid.h)
     matrix = matrix + np.diag(effective_potential(params, profile, x, hbar))
     if params.eta != 0:
         du = profile.jet(x)[1]
@@ -350,9 +350,9 @@ def test_banded_operators_match_dense_oracle(scheme, profile):
     v = harmonic(k=2)
     for s in ORACLE_SPECS:
         keo = assemble_terms(s, profile, g, scheme=scheme)
-        lin = assemble_linear(linear_params(s), profile, g, scheme=scheme)
+        lin = assemble_linear(linear_params(s), profile, g)
         assert _same_bits(keo.matrix, dense_terms(s, profile, g, scheme)), s
-        assert _same_bits(lin.matrix, dense_linear(linear_params(s), profile, g, scheme)), s
+        assert _same_bits(lin.matrix, dense_linear(linear_params(s), profile, g)), s
         for op in (keo, lin):
             dense = op.matrix
             atol = 1e-13 * np.max(np.abs(dense))
@@ -449,8 +449,8 @@ def test_no_dense_matrix_outside_the_export():
     try:
         for scheme in ("central", "staggered"):
             keo = assemble_terms(catalog("YY"), prof, g, scheme=scheme)
-            assemble_linear(linear_params(catalog("YY")), prof, g, scheme=scheme)
             solve(hamiltonian(keo, harmonic()), 5)
+        assemble_linear(linear_params(catalog("YY")), prof, g)
         equivalence_defect(catalog("DA(-1/2)"), prof, g, lambda x: (1 - x**2) ** 4)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -10,7 +10,7 @@ import pytest
 sp = pytest.importorskip("sympy", exc_type=ImportError)
 
 from pdmkeo.discretize import Grid, assemble_linear, effective_potential
-from pdmkeo.ordering import catalog, linear_params
+from pdmkeo.ordering import LinearParams, catalog, linear_params
 from pdmkeo.parser import parse
 from pdmkeo.profiles import PROFILES, lorentzian
 
@@ -67,10 +67,12 @@ def test_linear_form_coefficients_match_the_assembly(s):
     exact = lambda expr: np.array([float(expr.subs(x, p)) for p in points]) * hbar**2
     got_v = effective_potential(linear_params(s), prof, points, hbar)
     assert np.allclose(got_v, exact(v_eff), rtol=1e-13, atol=1e-13 * np.max(np.abs(got_v)))
-    # under the central scheme the +1 diagonal holds only the first-order
-    # term, c_i / (2h) on row i, since the kinetic core's +-1 diagonals are 0
-    bands = assemble_linear(linear_params(s), prof, g, hbar=hbar, scheme="central").bands
-    got_c = bands[1, 1:] * (2 * g.h)
+    # the +1 diagonal holds the kinetic core and the first-order term,
+    # c_i / (2h) on row i: the core is what the same form with eta = 0 holds
+    lp = linear_params(s)
+    bands = assemble_linear(lp, prof, g, hbar=hbar).bands
+    bare = assemble_linear(LinearParams(lp.xi, lp.zeta, 0), prof, g, hbar=hbar).bands
+    got_c = (bands[0, 1:] - bare[0, 1:]) * (2 * g.h)
     expected_c = exact(first_order)[:-1]
     atol = 1e-13 * max(1.0, np.max(np.abs(expected_c)))
     assert np.allclose(got_c, expected_c, rtol=1e-13, atol=atol)
