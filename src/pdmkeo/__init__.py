@@ -47,12 +47,12 @@ from .surds import Surd, exact
 # public name here resolves to its home module's current binding
 _NUMERICAL = {
     "discretize": (
-        "SCHEMES",
         "AssembledOperator",
+        "DefectConvergence",
         "Grid",
         "assemble_linear",
         "assemble_terms",
-        "derivative_matrix",
+        "defect_convergence",
         "effective_potential",
         "equivalence_defect",
         "to_csv",

@@ -3,20 +3,26 @@
 Every command takes the parsed arguments and returns (doc, csv_text): the
 JSON document and the CSV text, either of them None when the command has
 no such form or the other format was asked for. Exit codes: 0 success,
-1 domain error (single-line diagnostic on stderr, no traceback), 2 usage
-error. Exact quantities cross the boundary as rational strings like
-"-1/3"; grid and physical quantities as decimals.
+1 domain error (single-line diagnostic on stderr, no traceback; running
+out of memory is one too), 2 usage error. Exact quantities cross the
+boundary as rational strings like "-1/3"; grid and physical quantities as
+decimals.
+
+The CLI reads the numerical layer through the package, as `pk.<name>`:
+`pdmkeo` imports it on first use of one of its names, so only the
+commands that touch one load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 import warnings
 from fractions import Fraction
+
+import pdmkeo as pk
 
 from .classify import (
     BOUNDARY_NAMES,
@@ -32,10 +38,6 @@ from .errors import KeoError
 from .ordering import catalog, linear_params, validate
 from .parser import parse, print_canonical
 from .surds import Surd
-
-# The numerical modules (discretize, profiles, spectra) are imported inside
-# the commands that use them: they load numpy, which the exact-algebra
-# subcommands never need.
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -84,9 +86,7 @@ def _resolve_spec(args):
 
 
 def _grid(args):
-    from .discretize import Grid
-
-    return Grid(args.xmin, args.xmax, args.n)
+    return pk.Grid(args.xmin, args.xmax, args.n)
 
 
 def _sorted_labels(labels):
@@ -110,10 +110,13 @@ def _bump_psi(grid):
     return psi
 
 
-def cmd_params(args):
-    spec = _resolve_spec(args)
+def _params_doc(spec) -> dict:
     lp = linear_params(spec)
-    return {"xi": str(lp.xi), "zeta": str(lp.zeta), "eta": str(lp.eta)}, None
+    return {"xi": str(lp.xi), "zeta": str(lp.zeta), "eta": str(lp.eta)}
+
+
+def cmd_params(args):
+    return _params_doc(_resolve_spec(args)), None
 
 
 def cmd_classify(args):
@@ -138,8 +141,9 @@ def cmd_invert(args):
             for t in spec.terms
         ],
     }
+    # exact() leaves a Surd only where it is irrational, which the grammar cannot write
     if not args.float and all(
-        not isinstance(v, Surd) or v.is_rational
+        not isinstance(v, Surd)
         for t in spec.terms
         for v in (t.w, t.alpha, t.beta, t.gamma)
     ):
@@ -182,7 +186,6 @@ def cmd_table1(args):
     rows = []
     for name in TABLE_ENTRIES:
         spec = catalog(name)
-        lp = linear_params(spec)
         rows.append(
             {
                 "name": spec.name,
@@ -190,9 +193,7 @@ def cmd_table1(args):
                 "alpha": [str(t.alpha) for t in spec.terms],
                 "beta": [str(t.beta) for t in spec.terms],
                 "gamma": [str(t.gamma) for t in spec.terms],
-                "xi": str(lp.xi),
-                "zeta": str(lp.zeta),
-                "eta": str(lp.eta),
+                **_params_doc(spec),
             }
         )
     # the CSV columns are the row keys; a per-term list is one "|"-joined cell
@@ -213,32 +214,23 @@ def cmd_region(args):
 
 
 def cmd_assemble(args):
-    from .discretize import assemble_linear, assemble_terms, to_csv, to_json_dict
-    from .profiles import make_profile
-
     spec = _resolve_spec(args)
-    profile = make_profile(args.profile)
+    profile = pk.make_profile(args.profile)
     grid = _grid(args)
     if args.pathway == "linear":
-        op = assemble_linear(linear_params(spec), profile, grid, hbar=args.hbar)
+        op = pk.assemble_linear(linear_params(spec), profile, grid, hbar=args.hbar)
     else:
-        op = assemble_terms(spec, profile, grid, hbar=args.hbar)
+        op = pk.assemble_terms(spec, profile, grid, hbar=args.hbar)
     if args.format == "csv":
-        return None, to_csv(op)
-    return to_json_dict(op), None
+        return None, pk.to_csv(op)
+    return pk.to_json_dict(op), None
 
 
 def cmd_defect(args):
-    from .discretize import equivalence_defect
-    from .profiles import make_profile
-
     spec = _resolve_spec(args)
-    profile = make_profile(args.profile)
+    profile = pk.make_profile(args.profile)
     grid = _grid(args)
-    fine = grid.refined()
-    d_coarse = equivalence_defect(spec, profile, grid, _bump_psi(grid), hbar=args.hbar)
-    d_fine = equivalence_defect(spec, profile, fine, _bump_psi(fine), hbar=args.hbar)
-    ratio = d_coarse / d_fine if d_fine > 0 else None
+    conv = pk.defect_convergence(spec, profile, grid, _bump_psi(grid), hbar=args.hbar)
     return {
         "spec": spec.name or print_canonical(spec),
         "profile": profile.name,
@@ -246,34 +238,27 @@ def cmd_defect(args):
         "xmax": args.xmax,
         "hbar": args.hbar,
         "n": grid.n,
-        "defect_n": d_coarse,
-        "n_refined": fine.n,
-        "defect_refined": d_fine,
-        "ratio": ratio,
-        # the refined grid halves h, so this is the observed order in h
-        "observed_order": math.log2(ratio) if ratio else None,
+        "defect_n": conv.defect_n,
+        "n_refined": conv.n_refined,
+        "defect_refined": conv.defect_refined,
+        "ratio": conv.ratio,
+        "observed_order": conv.observed_order,
     }, None
 
 
 def cmd_spectrum(args):
-    from .profiles import make_profile
-    from .spectra import make_potential, spectrum_of_spec
-
     spec = _resolve_spec(args)
-    profile = make_profile(args.profile)
-    potential = make_potential(args.potential)
+    profile = pk.make_profile(args.profile)
+    potential = pk.make_potential(args.potential)
     grid = _grid(args)
-    result = spectrum_of_spec(spec, profile, potential, grid, args.k, hbar=args.hbar)
-    lp = linear_params(spec)
+    result = pk.spectrum_of_spec(spec, profile, potential, grid, args.k, hbar=args.hbar)
     doc = {
         "params": {
             "name": spec.name or print_canonical(spec),
-            "xi": str(lp.xi),
-            "zeta": str(lp.zeta),
-            "eta": str(lp.eta),
+            **_params_doc(spec),
             "profile": profile.name,
             "potential": potential.name,
-            "scheme": "staggered",
+            "scheme": result.provenance["scheme"],
             "hbar": args.hbar,
         },
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n": grid.n, "h": grid.h},
@@ -285,13 +270,11 @@ def cmd_spectrum(args):
 
 
 def cmd_dualpair(args):
-    from .profiles import make_profile
-    from .spectra import dual_pair_report, make_potential
-
-    profile = make_profile(args.profile)
-    potential = make_potential(args.potential)
+    profile = pk.make_profile(args.profile)
+    potential = pk.make_potential(args.potential)
     grid = _grid(args)
-    report = dual_pair_report(args.xi, args.theta, profile, potential, grid, args.k, hbar=args.hbar)
+    report = pk.dual_pair_report(args.xi, args.theta, profile, potential, grid, args.k,
+                                 hbar=args.hbar)
 
     def side(point, alpha_gamma, spectrum):
         return {
@@ -484,6 +467,9 @@ def main(argv=None) -> int:
             _emit(args, doc, csv_text)
         except (KeoError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError:
+            print("error: out of memory", file=sys.stderr)
             return 1
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)

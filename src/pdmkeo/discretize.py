@@ -43,7 +43,8 @@ Each pathway is a public wrapper, which checks hbar, samples the profile
 and records the provenance, around a private function that takes the
 samples (`_terms_operator`, `_linear_operator`). `equivalence_defect`
 samples the jet once at the grid points and once at the midpoints and
-hands the samples to both.
+hands the samples to both; `defect_convergence` runs it on a grid and on
+its refinement.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonPositiveMass
-from .ordering import LinearParams, OrderingSpec, linear_params
+from .ordering import LinearParams, OrderingSpec, is_hermitian, linear_params, weighted_mean
 from .profiles import MassProfile
 
 # the schemes `assemble_terms` takes; central only for the benchmark (see above)
@@ -246,14 +247,13 @@ def assemble_terms(
     _require_hbar(hbar)
     u = _inverse_mass_at(profile, grid.points)
     u_core = u if scheme == "central" else _inverse_mass_at(profile, grid.midpoints)
-    mean_alpha, mean_gamma, _ = spec._means
     prov = {
         "pathway": "terms",
         "scheme": scheme,
         "spec": spec.name or "",
         "terms": [[str(t.w), str(t.alpha), str(t.beta), str(t.gamma)] for t in spec.terms],
         "profile": profile.name,
-        "eta": str(mean_gamma - mean_alpha),
+        "eta": str(weighted_mean(spec, "gamma") - weighted_mean(spec, "alpha")),
     }
     return _terms_operator(spec, u, u_core, grid, hbar, scheme, prov)
 
@@ -287,8 +287,7 @@ def _terms_operator(
         upper += a[:-half] * off * c[half:] * w
         lower += a[half:] * off * c[:-half] * w
     bands = -(hbar**2 / 2.0) * total
-    mean_alpha, mean_gamma, _ = spec._means
-    if mean_gamma - mean_alpha == 0:
+    if is_hermitian(spec):
         # Hermitian in the continuum, so made exactly symmetric: (A + A^T)/2.
         # A[i, j] and A[j, i] differ by rounding for mirrored terms, and by
         # O(h^3) relative to max|A| for orderings that are not mirrored. The
@@ -435,6 +434,43 @@ def equivalence_defect(
     if not (math.isfinite(norm) and math.isfinite(defect)):
         raise ValueError(f"defect is not finite: ||psi|| = {norm!r}, defect = {defect!r}")
     return defect
+
+
+@dataclass(frozen=True)
+class DefectConvergence:
+    """`equivalence_defect` on a grid (n points) and on its refinement
+    (n_refined = 2n + 1 points, half the spacing). `ratio` is
+    defect_n / defect_refined, None when defect_refined is 0;
+    `observed_order` is log2(ratio), the order in h, None when ratio is
+    None or 0."""
+
+    defect_n: float
+    n_refined: int
+    defect_refined: float
+    ratio: float | None
+    observed_order: float | None
+
+
+def defect_convergence(
+    spec: OrderingSpec,
+    profile: MassProfile,
+    grid: Grid,
+    test_function: Callable[[np.ndarray], np.ndarray],
+    hbar: float = 1.0,
+) -> DefectConvergence:
+    """The two-pathway defect on `grid` and on `grid.refined()`, with the
+    observed order of their agreement in h."""
+    fine = grid.refined()
+    coarse_defect = equivalence_defect(spec, profile, grid, test_function, hbar=hbar)
+    fine_defect = equivalence_defect(spec, profile, fine, test_function, hbar=hbar)
+    ratio = coarse_defect / fine_defect if fine_defect > 0 else None
+    return DefectConvergence(
+        defect_n=coarse_defect,
+        n_refined=fine.n,
+        defect_refined=fine_defect,
+        ratio=ratio,
+        observed_order=math.log2(ratio) if ratio else None,
+    )
 
 
 def to_csv(op: AssembledOperator) -> str:

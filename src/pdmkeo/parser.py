@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .errors import ParseError, WrongMomentumCount
 from .ordering import BuildingBlock, OrderingSpec, canonicalize
-from .surds import Surd
 
 _TOKEN_SPEC = (
     ("INVSQRTM", r"1/sqrt\(m\)"),
@@ -157,8 +156,6 @@ def parse(text: str) -> OrderingSpec:
 
 
 def _format_rational(x) -> str:
-    if isinstance(x, Surd) and x.is_rational:
-        x = x.as_fraction()
     if not isinstance(x, (int, Fraction)):
         raise ValueError(f"{x} is not representable in the expression grammar")
     return str(x)

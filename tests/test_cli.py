@@ -195,6 +195,20 @@ def test_assemble_builds_only_the_requested_format(monkeypatch, capsys):
         assert capsys.readouterr().out
 
 
+def test_out_of_memory_is_a_domain_error(monkeypatch, capsys):
+    from pdmkeo import cli, discretize
+
+    def exhausted(op):
+        raise MemoryError
+
+    monkeypatch.setattr(discretize, "to_json_dict", exhausted)
+    argv = ["assemble", "--name", "YY", "--profile", "lorentzian", "--n", "6"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 def test_defect_reports_ratio():
     cp = run_cli(
         "defect", "--name", "YY", "--profile", "cosine_bump:m0=1,lam=1",
@@ -456,6 +470,39 @@ def test_import_leaves_scipy_linalg_unloaded():
         cp = subprocess.run([sys.executable, "-c", script + report], capture_output=True, text=True)
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.strip() == "[]", script
+
+
+def test_exact_layer_never_imports_the_numerical_layer():
+    # the package's lazy names are the one way to numpy: an exact-layer
+    # module that imported a numerical one, even inside a function, would
+    # be a second
+    import ast
+
+    src = Path(__file__).parent.parent / "src" / "pdmkeo"
+    numerical = {"discretize", "profiles", "spectra"}
+    for module in ("cli", "classify", "ordering", "parser", "surds", "errors"):
+        tree = ast.parse((src / f"{module}.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            imported |= {part for name in names for part in name.split(".")}
+        assert not imported & numerical, module
+
+
+def test_benchmark_only_names_live_in_discretize_alone():
+    import pdmkeo
+    from pdmkeo import discretize
+
+    for name in ("SCHEMES", "derivative_matrix"):
+        with pytest.raises(AttributeError):
+            getattr(pdmkeo, name)
+        assert name not in pdmkeo.__all__
+        assert hasattr(discretize, name)
 
 
 def test_numerical_names_follow_their_home_modules(monkeypatch):

@@ -9,6 +9,7 @@ from pdmkeo.discretize import (
     Grid,
     assemble_linear,
     assemble_terms,
+    defect_convergence,
     derivative_matrix,
     effective_potential,
     equivalence_defect,
@@ -353,6 +354,22 @@ def test_operators_with_overflowing_entries_are_refused():
         with pytest.raises(ValueError, match="operator entries are not finite"):
             assemble_linear(linear_params(yy), prof, g, hbar=1e100)
         assert np.isfinite(assemble_terms(yy, prof, g, hbar=1e60).bands).all()
+
+
+def test_defect_convergence_on_constant_mass_has_no_order():
+    conv = defect_convergence(catalog("W"), constant(1), Grid(-1.0, 1.0, 50), BUMP)
+    assert (conv.defect_n, conv.n_refined, conv.defect_refined) == (0.0, 101, 0.0)
+    assert conv.ratio is None and conv.observed_order is None
+
+
+def test_defect_convergence_is_second_order():
+    yy, prof, g = catalog("YY"), cosine_bump(m0=1, lam=1), Grid(-1.0, 1.0, 200)
+    conv = defect_convergence(yy, prof, g, BUMP)
+    assert conv.defect_n == equivalence_defect(yy, prof, g, BUMP)
+    assert conv.defect_refined == equivalence_defect(yy, prof, g.refined(), BUMP)
+    assert conv.ratio == conv.defect_n / conv.defect_refined
+    assert conv.observed_order == math.log2(conv.ratio)
+    assert abs(conv.observed_order - 2) <= 0.05
 
 
 def test_equivalence_defect_second_order_on_flat_profile():
