@@ -231,6 +231,16 @@ def _core_diagonals(b: np.ndarray, h: float, half: int) -> tuple[np.ndarray, np.
     return -w * (b[:n] + b[half:]), w * b[half:n]
 
 
+def _weighted_core_diagonal(b: np.ndarray, h: float, half: int) -> np.ndarray:
+    """The diagonal of `_core_diagonals`, each sample weighted before the
+    sum: finite where b's samples are but their sum is not."""
+    pad = np.zeros(half - 1)
+    b = np.concatenate((pad, b, pad))
+    s = half * h
+    w = 1.0 / (s * s)
+    return -(w * b[:-half] + w * b[half:])
+
+
 def assemble_terms(
     spec: OrderingSpec,
     profile: MassProfile,
@@ -295,7 +305,20 @@ def _terms_operator(
         mean = bands[0, half:] + bands[2 * half, :-half]
         mean /= 2
         bands[0, half:] = bands[2 * half, :-half] = mean
-    return AssembledOperator(bands, grid, float(hbar), provenance)
+    try:
+        return AssembledOperator(bands, grid, float(hbar), provenance)
+    except ValueError:
+        # the core's sum of two samples of m^b can overflow near the float
+        # limit where the entries do not: recompute the diagonal cells that
+        # did, term by term in the order above, and refuse if they still do
+        i = np.flatnonzero(~np.isfinite(bands[half]))
+        core = {b: _weighted_core_diagonal(_mass_power(u_core, b), grid.h, half)[i] for b in cores}
+        diag = np.zeros(i.size)
+        for t in spec.terms:
+            w, alpha, beta, gamma = (float(v) for v in (t.w, t.alpha, t.beta, t.gamma))
+            diag += powers[alpha][i] * core[beta] * powers[gamma][i] * w
+        bands[half, i] = -(hbar**2 / 2.0) * diag
+        return AssembledOperator(bands, grid, float(hbar), provenance)
 
 
 def effective_potential(
@@ -398,7 +421,17 @@ def _linear_operator(
         inv = 1.0 / (2 * grid.h)
         bands[0, 1:] += k * (du[:-1] * inv)
         bands[2, :-1] += k * (du[1:] * -inv)
-    return AssembledOperator(bands, grid, float(hbar), provenance)
+    try:
+        return AssembledOperator(bands, grid, float(hbar), provenance)
+    except ValueError:
+        # near the float limit the core's sum of two samples of 1/m and
+        # zeta's (1/m)'^2 overflow where the entries do not: recompute the
+        # diagonal cells that did without them, and refuse if they still do
+        i = np.flatnonzero(~np.isfinite(bands[1]))
+        zeta = _as_float(params.zeta, "zeta")
+        v = (hbar**2 / 2.0) * (_as_float(params.xi, "xi") * ddu[i] + zeta * (du[i] * (du[i] / u[i])))
+        bands[1, i] = c * _weighted_core_diagonal(u_mid, grid.h, 1)[i] + v
+        return AssembledOperator(bands, grid, float(hbar), provenance)
 
 
 def _require_hbar(hbar: float) -> None:

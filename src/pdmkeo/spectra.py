@@ -3,14 +3,20 @@
 H is an assembled kinetic operator T plus a potential V(x) on its
 diagonal, assembled under the staggered scheme (no odd-even grid
 decoupling), whose levels converge to the continuum ones at O(h^2).
-`solve` finds the lowest eigenvalues of the tridiagonal H by bisection in
-one LAPACK call. It also splits the pentadiagonal central H, whose +-1
-diagonals are zero, into its even and odd tridiagonal blocks laid end to
-end; that split is kept only because the benchmark's `spectra` workload
-still solves central operators, and goes with them. The call sees H
-scaled by a power of two, so that entries near the float limit solve
-too. Each residual is measured for the eigenvector that the same call
-returns. Every eta = 0 ordering assembles exactly symmetric and solves,
+`solve` finds the lowest eigenvalues of the tridiagonal H in one LAPACK
+call: Sturm-count bisection brackets each one to within 2^-40 of the
+scaled H's largest entry (LAPACK's default bisects to rounding), inverse
+iteration from the bracket returns its eigenvector, and the eigenvalue
+reported is that vector's Rayleigh quotient, which is exact to rounding
+plus the squared residual over the gap to the next level. It also splits
+the pentadiagonal central H, whose +-1 diagonals are zero, into its even
+and odd tridiagonal blocks laid end to end; that split is kept only
+because the benchmark's `spectra` workload still solves central
+operators, and goes with them. The call sees H scaled by a power of two,
+so that entries near the float limit solve too. Each residual is
+measured for the eigenvector that the same call returns, and the
+provenance records the bracket width and the largest residual. Every
+eta = 0 ordering assembles exactly symmetric and solves,
 mirrored or not; an eta != 0 operator is refused as NotSymmetric.
 Dual-pair spectra are computed and reported side by side without
 asserting equality.
@@ -70,11 +76,17 @@ class SpectrumResult:
     """Lowest eigenvalues in ascending order plus solve metadata.
 
     The eigenvalues are those of H's tridiagonal blocks (see `solve`).
-    `residuals[i]` is ||H x - e x|| for e = `eigenvalues[i]` and the unit
-    vector x that LAPACK returns with e, which is zero off the block that e
-    came from. It is a few rounding errors of max|H|
+    `eigenvalues[i]` is the Rayleigh quotient e = (x.Hx)/(x.x) of the unit
+    vector x that LAPACK's inverse iteration returns from a bisection
+    bracket, and x is zero off the block that e came from.
+    `residuals[i]` is ||H x - e x||. It is a few rounding errors of max|H|
     exactly when e is an eigenvalue of H; within a degenerate pair x is
-    some vector of the shared eigenspace.
+    some vector of the shared eigenspace. Besides the operator's own
+    provenance, `provenance` holds "bracket", the bisection width in H's
+    units (0.0 where bisection ran to rounding), and "max_residual",
+    max(residuals) / max|H|: an eigenvalue whose gap to its neighbours
+    exceeds the bracket is exact to rounding, one in a cluster narrower
+    than it is within it of the true value.
     """
 
     eigenvalues: tuple[float, ...]
@@ -97,6 +109,11 @@ def hamiltonian(keo: AssembledOperator, potential: PotentialProfile) -> Assemble
     return AssembledOperator(bands, keo.grid, keo.hbar, prov)
 
 
+# the absolute width to which bisection brackets each eigenvalue of the
+# scaled H, whose largest entry lies in [1/2, 1)
+_BRACKET = 2.0**-40
+
+
 def _max_asymmetry(bands: np.ndarray) -> float:
     """max |A[i, j] - A[j, i]| over the band; entries off it are zero."""
     half, n = (bands.shape[0] - 1) // 2, bands.shape[1]
@@ -113,9 +130,16 @@ def solve(h: AssembledOperator, k: int) -> SpectrumResult:
     so that it splits into l tridiagonal blocks, block p on the grid points
     p, p + l, p + 2l, ... (one block for the staggered scheme, two for the
     central one, which only the benchmark assembles). The blocks, laid end
-    to end, are solved together by one LAPACK bisection call
-    (`eigh_tridiagonal`) in O(n k). Each residual is measured on the full H
-    for the eigenvector that the same call returns."""
+    to end, are solved together by one LAPACK call (`eigh_tridiagonal`) in
+    O(n k): bisection (`?stebz`) brackets the k lowest eigenvalues to
+    within 2^-40 max|H| rounded up to a power of two, and inverse iteration
+    (`?stein`) from each bracket returns a unit eigenvector x. Each
+    eigenvalue is then the Rayleigh quotient (x.Hx)/(x.x), accurate to
+    rounding plus ||Hx - ex||^2 / gap, and a level in a cluster narrower
+    than the bracket is within the bracket of the true one. Where inverse
+    iteration fails from the bracket, which a block of small norm that
+    LAPACK splits off can make it do, H is bisected to rounding instead.
+    Each residual is measured on the full H for that x and its quotient."""
     # imported here: scipy.linalg is most of the package's import time, and
     # only the eigensolve needs it
     from scipy.linalg import eigh_tridiagonal
@@ -135,26 +159,42 @@ def solve(h: AssembledOperator, k: int) -> SpectrumResult:
     # the blocks laid end to end: the lower-band cell past each block's last
     # point lies outside the matrix and holds zero, so LAPACK splits there
     order = np.concatenate([np.arange(p, n, half) for p in range(half)])
-    # bisection squares the off-diagonals, so H is solved scaled by the
-    # power of two that brings max|H| into [1/2, 1), and the eigenvalues are
-    # scaled back: entries near 1e154 would overflow. The scaling is exact
-    # for every entry that stays a normal float
+    # bisection squares the off-diagonals, so LAPACK sees H scaled by the
+    # power of two that brings max|H| into [1/2, 1): entries near 1e154
+    # would overflow. The scaling is exact for every entry that stays a
+    # normal float, and the eigenvalues come from the unscaled H below
     shift = math.frexp(scale)[1]
-    values, vecs = eigh_tridiagonal(
-        np.ldexp(bands[half, order], -shift), np.ldexp(bands[2 * half, order][:-1], -shift),
-        select="i", select_range=(0, k - 1),
-    )
-    values = np.ldexp(values, shift)
-    x = np.empty((n, values.size))
+    d, e = np.ldexp(bands[half, order], -shift), np.ldexp(bands[2 * half, order][:-1], -shift)
+    # the bracket only has to pick out the eigenvalue that inverse iteration
+    # converges to; the Rayleigh quotient below fixes its value
+    bracket = _BRACKET
+    try:
+        _, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1), tol=bracket)
+    except np.linalg.LinAlgError:
+        # ?stein's convergence test assumes a shift accurate to rounding
+        # and fails without one when the block it lies in has a small norm
+        # (in scaled units), as a block that LAPACK splits off where the
+        # potential swamps the kinetic coupling can
+        bracket = 0.0
+        _, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+    x = np.empty((n, vecs.shape[1]))
     x[order] = vecs
+    hx = h.applied_to(x)
+    # summed over rows elementwise, not as a BLAS product, whose rounding
+    # can depend on its thread count
+    values = (x * hx).sum(axis=0) / (x * x).sum(axis=0)
+    # a level inside a bracket-wide cluster can take its neighbour's slot
+    rank = np.argsort(values, kind="stable")
+    values, x, hx = values[rank], x[:, rank], hx[:, rank]
     # the norm squares the residual's entries, so it too is taken scaled
-    residuals = np.ldexp(
-        np.linalg.norm(np.ldexp(h.applied_to(x) - x * values, -shift), axis=0), shift
-    )
+    residuals = np.ldexp(np.linalg.norm(np.ldexp(hx - x * values, -shift), axis=0), shift)
+    prov = dict(h.provenance)
+    prov["bracket"] = math.ldexp(bracket, shift)
+    prov["max_residual"] = float(residuals.max()) / scale
     return SpectrumResult(
         eigenvalues=tuple(map(float, values)),
         grid=h.grid,
-        provenance=dict(h.provenance),
+        provenance=prov,
         residuals=tuple(map(float, residuals)),
     )
 

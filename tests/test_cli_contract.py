@@ -123,6 +123,9 @@ REFUSED_PARAMETERS = [
     (["spectrum", "--name", "W", "--profile", "gaussian_bump:sigma=1e-300", "--n=5"], "sigma"),
 ]
 LONG_DEFECT = ["defect", "--name", "MB(-1/2)", "--profile", "lorentzian", "--n=20", "--xmax=1e308"]
+# sums and squares of samples of 1/m overflow there, the entries do not
+NEAR_1E154 = ["assemble", "--name", "YY", "--profile", "lorentzian", "--pathway", "linear",
+              "--n", "45", "--xmin=0", "--xmax=1e154"]
 
 
 @pytest.mark.parametrize("argv, parameter", REFUSED_PARAMETERS,
@@ -138,11 +141,20 @@ def test_defect_on_a_longest_interval_has_no_traceback():
     assert status in (0, 1), stderr
 
 
+@pytest.mark.parametrize("pathway", ["linear", "terms"])
+def test_an_operator_whose_intermediates_overflow_assembles(pathway):
+    # the last --pathway wins
+    status, stdout, stderr = _run([*NEAR_1E154, "--pathway", pathway, "--format", "csv"])
+    assert status == 0, stderr
+    _assert_finite_numbers(stdout, "csv")
+
+
 @example([*REFUSED_PARAMETERS[0][0], "--format", "json"])
 @example([*REFUSED_PARAMETERS[1][0], "--format", "json"])
 @example([*REFUSED_PARAMETERS[2][0], "--format", "json"])
 @example([*REFUSED_PARAMETERS[3][0], "--format", "json"])
 @example([*LONG_DEFECT, "--format", "json"])
+@example([*NEAR_1E154, "--format", "json"])
 @settings(max_examples=300, deadline=None)
 @given(argvs())
 def test_every_argv_exits_0_1_or_2_without_a_traceback(argv):

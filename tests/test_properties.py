@@ -7,6 +7,7 @@ instead of hand-picked catalog entries."""
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 # a hypothesis that is absent or fails to import skips the module
@@ -16,12 +17,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from assembly_reference import reference_assemble_linear, reference_assemble_terms
 from classify_reference import reference_classify
+from pdmkeo.discretize import AssembledOperator, Grid
 from pdmkeo.classify import classify, dual, in_allowed_region, invert, to_duality
 from pdmkeo.errors import DualOutsideAllowedRegion, OutsideAllowedRegion
 from pdmkeo.ordering import (
     CATALOG_NAMES, BuildingBlock, OrderingSpec, catalog, linear_params, spec,
 )
 from pdmkeo.parser import parse, print_canonical
+from pdmkeo.spectra import solve
 from pdmkeo.surds import Surd
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=12)
@@ -393,3 +396,33 @@ def test_staggered_levels_converge_to_the_exact_levels(s, prof, a, length, hbar)
     assert np.all(np.abs(fine - exact)[~clean] <= natural[~clean] / 4)
     extrapolated = np.array([richardson(c, f)[0] for c, f in zip(coarse, fine)])
     assert np.all(np.abs(extrapolated - exact) < np.abs(fine - exact))
+
+
+@st.composite
+def tridiagonals(draw):
+    """A symmetric tridiagonal operator of 3-80 points with entries in
+    [-1, 1], small integers at times so that levels can tie, and k."""
+    n = draw(st.integers(3, 80))
+    entries = st.one_of(st.floats(-1, 1), st.integers(-2, 2).map(float))
+    diagonal = draw(st.lists(entries, min_size=n, max_size=n))
+    off = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    bands = np.array([[0.0, *off], diagonal, [*off, 0.0]])
+    return AssembledOperator(bands, Grid(-1.0, 1.0, n), 1.0), draw(st.integers(1, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tridiagonals())
+def test_solve_matches_a_dense_eigensolver(case):
+    import scipy.linalg
+
+    h, k = case
+    scale = np.max(np.abs(h.bands)) or 1.0
+    expected = scipy.linalg.eigh(h.matrix, eigvals_only=True)
+    res = solve(h, k)
+    error = np.max(np.abs(np.array(res.eigenvalues) - expected[:k]))
+    # a level is exact to rounding once its neighbours are outside the
+    # bracket; the dense solver's own error scales with the 2-norm of H
+    if np.all(np.diff(expected[:k + 1]) > 2.0**-30 * scale):
+        assert error <= 8 * np.finfo(float).eps * np.max(np.abs(expected))
+    assert error <= 2.0**-39 * scale
+    assert max(res.residuals) <= 1e-12 * scale

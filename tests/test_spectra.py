@@ -395,6 +395,56 @@ def test_residuals_at_exact_and_degenerate_eigenvalues():
         assert max(res.residuals) <= 1e-9 * np.max(np.abs(h.bands))
 
 
+def test_a_pair_closer_than_the_bracket_split_by_k():
+    # two copies of one operator joined by a coupling of 1e-13 max|H|: every
+    # level is a pair split by far less than the bisection bracket, and k = 5
+    # takes one member of the third pair
+    m = 40
+    h = hamiltonian(assemble_terms(catalog("YY"), lorentzian(m0=1, lam=1), Grid(-1.0, 1.0, m)),
+                    harmonic())
+    scale = np.max(np.abs(h.bands))
+    bands = np.concatenate((h.bands, h.bands), axis=1)
+    bands[0, m] = bands[2, m - 1] = 1e-13 * scale
+    joined = AssembledOperator(bands, Grid(-1.0, 1.0, 2 * m), 1.0)
+    expected = scipy.linalg.eigh(joined.matrix, eigvals_only=True)
+    assert expected[5] - expected[4] < 2.0**-39 * scale
+    got = np.array(solve(joined, 5).eigenvalues)
+    assert np.all(np.diff(got) >= 0)
+    assert np.max(np.abs(got - expected[:5])) <= 2.0**-39 * scale
+
+
+def test_without_kinetic_energy_the_levels_are_the_sorted_potential():
+    # hbar = 0 leaves H = diag(V), and V on a symmetric grid repeats each
+    # value: every level is a diagonal entry, ties included, to the bit
+    h = hamiltonian(assemble_terms(catalog("BDD"), constant(1), Grid(-1.0, 1.0, 50), hbar=0.0),
+                    harmonic())
+    diagonal = np.sort(h.bands[1])
+    assert np.unique(diagonal).size < diagonal.size
+    assert solve(h, 50).eigenvalues == tuple(diagonal)
+
+
+def test_a_small_block_split_off_solves_to_rounding():
+    # H splits into blocks [1] and [[0, 1/16], [1/16, 0]]: from a shift that
+    # is not accurate to rounding, inverse iteration on the second block
+    # declares failure, so this H is bisected to rounding
+    g = Grid(-1.0, 1.0, 3)
+    h = AssembledOperator(np.array([[0.0, 0.0, 0.0625], [1.0, 0.0, 0.0], [0.0, 0.0625, 0.0]]),
+                          g, 1.0)
+    res = solve(h, 2)
+    assert res.eigenvalues == (-0.0625, 0.0625)
+    assert res.provenance["bracket"] == 0.0
+
+
+def test_provenance_records_the_bracket_and_the_largest_residual():
+    h = hamiltonian(assemble_terms(catalog("YY"), lorentzian(m0=1, lam=1), Grid(-1.0, 1.0, 400)),
+                    harmonic())
+    scale = np.max(np.abs(h.bands))
+    prov = solve(h, 5).provenance
+    assert prov["scheme"] == "staggered"
+    assert 0 < prov["bracket"] <= 2.0**-39 * scale
+    assert 0 <= prov["max_residual"] <= 1e-12
+
+
 @pytest.mark.parametrize("scheme", ["central", "staggered"])
 def test_operators_with_entries_near_the_float_limit_solve(scheme):
     # entries of ~1e203 (1/m = 1e200): bisection and the residual norm
