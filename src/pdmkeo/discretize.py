@@ -30,6 +30,14 @@ eta = 0 assembles to an exactly symmetric operator.
 `AssembledOperator.matrix` is the one dense form, built on demand for
 export and for tests.
 
+Each diagonal has one formula, whose sums and squares are taken after
+weighting, so they overflow only where an entry does: the core weights
+each sample by 1/h^2 before two are summed, and the effective potential
+takes ((1/m)')^2 m as du (du / u). lorentzian on [0, 1e154] (1/m ~ 1e308)
+assembles with no floating-point warning. The finiteness check of
+`AssembledOperator` is the one gate: an operator whose entries, or a
+mass power m^s itself, overflow is refused.
+
 `assemble_terms` alone also takes scheme='central', the pentadiagonal
 D diag(m^b) D composition (the same stencil on the even and on the odd
 grid points with spacing 2h, b at the grid points between them). Its
@@ -172,17 +180,13 @@ def _dense(bands: np.ndarray) -> np.ndarray:
     return dense
 
 
-def _derivative_bands(n: int, h: float, half: int) -> np.ndarray:
-    bands = np.zeros((2 * half + 1, n))
-    bands[half - 1, 1:] = 1.0 / (2 * h)
-    bands[half + 1, :-1] = -1.0 / (2 * h)
-    return bands
-
-
 def derivative_matrix(grid: Grid) -> np.ndarray:
     """Central-difference first derivative, exactly antisymmetric under
     Dirichlet truncation (momentum is -i*hbar times this)."""
-    return _dense(_derivative_bands(grid.n, grid.h, 1))
+    bands = np.zeros((3, grid.n))
+    bands[0, 1:] = 1.0 / (2 * grid.h)
+    bands[2, :-1] = -1.0 / (2 * grid.h)
+    return _dense(bands)
 
 
 def _inverse_mass_at(profile: MassProfile, x: np.ndarray) -> np.ndarray:
@@ -209,9 +213,8 @@ def _as_float(value, what: str) -> float:
 
 
 def _mass_power(u: np.ndarray, s: float) -> np.ndarray:
-    """diag values of m^s from inverse-mass samples (m^s = u^(-s))."""
-    if s == 0.0:
-        return np.ones_like(u)
+    """diag values of m^s from inverse-mass samples (m^s = u^(-s); u^-0.0 is
+    exactly 1.0)."""
     return u ** (-s)
 
 
@@ -222,23 +225,15 @@ def _core_diagonals(b: np.ndarray, h: float, half: int) -> tuple[np.ndarray, np.
     half = 2 (which makes it D diag(b) D), padded with half - 1 zeros at each
     end for the Dirichlet points beyond the grid. Returns its diagonal (n
     values) and its symmetric off-diagonal at offsets +-half (n - half values,
-    entry k coupling grid points k and k + half)."""
+    entry k coupling grid points k and k + half). Each sample is weighted by
+    1/(half*h)^2 before two are summed: two samples of b can sum past the
+    float limit where the entry does not."""
     pad = np.zeros(half - 1)
     b = np.concatenate((pad, b, pad))
     n = b.size - half
     s = half * h
-    w = 1.0 / (s * s)
-    return -w * (b[:n] + b[half:]), w * b[half:n]
-
-
-def _weighted_core_diagonal(b: np.ndarray, h: float, half: int) -> np.ndarray:
-    """The diagonal of `_core_diagonals`, each sample weighted before the
-    sum: finite where b's samples are but their sum is not."""
-    pad = np.zeros(half - 1)
-    b = np.concatenate((pad, b, pad))
-    s = half * h
-    w = 1.0 / (s * s)
-    return -(w * b[:-half] + w * b[half:])
+    wb = (1.0 / (s * s)) * b
+    return -(wb[:n] + wb[half:]), wb[half:n]
 
 
 def assemble_terms(
@@ -305,20 +300,7 @@ def _terms_operator(
         mean = bands[0, half:] + bands[2 * half, :-half]
         mean /= 2
         bands[0, half:] = bands[2 * half, :-half] = mean
-    try:
-        return AssembledOperator(bands, grid, float(hbar), provenance)
-    except ValueError:
-        # the core's sum of two samples of m^b can overflow near the float
-        # limit where the entries do not: recompute the diagonal cells that
-        # did, term by term in the order above, and refuse if they still do
-        i = np.flatnonzero(~np.isfinite(bands[half]))
-        core = {b: _weighted_core_diagonal(_mass_power(u_core, b), grid.h, half)[i] for b in cores}
-        diag = np.zeros(i.size)
-        for t in spec.terms:
-            w, alpha, beta, gamma = (float(v) for v in (t.w, t.alpha, t.beta, t.gamma))
-            diag += powers[alpha][i] * core[beta] * powers[gamma][i] * w
-        bands[half, i] = -(hbar**2 / 2.0) * diag
-        return AssembledOperator(bands, grid, float(hbar), provenance)
+    return AssembledOperator(bands, grid, float(hbar), provenance)
 
 
 def effective_potential(
@@ -376,7 +358,8 @@ def _inverse_mass_and_derivatives(profile: MassProfile, x: np.ndarray):
 def _effective_potential(params: LinearParams, u, du, ddu, hbar: float) -> np.ndarray:
     """`effective_potential` from samples of 1/m and its two derivatives."""
     xi, zeta = _as_float(params.xi, "xi"), _as_float(params.zeta, "zeta")
-    return (hbar**2 / 2.0) * (xi * ddu + zeta * du**2 / u)
+    # ((1/m)')^2 m as du (du / u): du^2 overflows near the float limit where it does not
+    return (hbar**2 / 2.0) * (xi * ddu + zeta * (du * (du / u)))
 
 
 def assemble_linear(
@@ -421,17 +404,7 @@ def _linear_operator(
         inv = 1.0 / (2 * grid.h)
         bands[0, 1:] += k * (du[:-1] * inv)
         bands[2, :-1] += k * (du[1:] * -inv)
-    try:
-        return AssembledOperator(bands, grid, float(hbar), provenance)
-    except ValueError:
-        # near the float limit the core's sum of two samples of 1/m and
-        # zeta's (1/m)'^2 overflow where the entries do not: recompute the
-        # diagonal cells that did without them, and refuse if they still do
-        i = np.flatnonzero(~np.isfinite(bands[1]))
-        zeta = _as_float(params.zeta, "zeta")
-        v = (hbar**2 / 2.0) * (_as_float(params.xi, "xi") * ddu[i] + zeta * (du[i] * (du[i] / u[i])))
-        bands[1, i] = c * _weighted_core_diagonal(u_mid, grid.h, 1)[i] + v
-        return AssembledOperator(bands, grid, float(hbar), provenance)
+    return AssembledOperator(bands, grid, float(hbar), provenance)
 
 
 def _require_hbar(hbar: float) -> None:

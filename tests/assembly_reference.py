@@ -31,7 +31,7 @@ def core_bands(b: np.ndarray, h: float, half: int) -> np.ndarray:
     s = half * h
     w = 1.0 / (s * s)
     bands = np.zeros((2 * half + 1, n))
-    bands[half] = -w * (b[:n] + b[half:])
+    bands[half] = -(w * b[:n] + w * b[half:])
     bands[0, half:] = bands[2 * half, :-half] = w * b[half:n]
     return bands
 
@@ -68,7 +68,7 @@ def reference_assemble_linear(params, profile, grid, hbar=1.0):
     kinetic = -(hbar**2 / 2.0) * core_bands(u_mid, grid.h, half)
     potential = np.zeros((2 * half + 1, grid.n))
     xi, zeta = float(params.xi), float(params.zeta)
-    potential[half] = (hbar**2 / 2.0) * (xi * ddu + zeta * du**2 / u)
+    potential[half] = (hbar**2 / 2.0) * (xi * ddu + zeta * (du * (du / u)))
     bands = kinetic + potential
     if params.eta != 0:
         # eta (hbar^2/2) (1/m)' d/dx, with row i of d/dx (psi[i+1] - psi[i-1]) / (2h)

@@ -164,8 +164,8 @@ def test_profile_probe_accepts_right_derivatives_far_from_zero():
             warnings.simplefilter("error")
             assemble_linear(yy, cosine_bump(m0=1, lam=1), Grid(x_min, x_max, 45))
     # 1/m ~ x^2 near 1e154: the probe passes, and (1/m)'^2 and sums of two
-    # samples of 1/m overflow, though the operator's entries do not
-    with np.errstate(all="ignore"):
+    # samples of 1/m would overflow, though the operator's entries do not
+    with np.errstate(all="raise"):
         op = assemble_linear(yy, lorentzian(m0=1, lam=1), Grid(0.0, 1e154, 45))
     assert np.isfinite(op.bands).all()
 
@@ -176,26 +176,25 @@ def _halved(profile):
 
 @pytest.mark.parametrize("name", ["BDD", "YY", "W"])
 @pytest.mark.parametrize("pathway", ["terms", "linear"])
-def test_entries_whose_intermediates_overflow_are_recomputed(name, pathway):
-    # near 1e154 sums of two samples of 1/m ~ x^2 and (1/m)'^2 overflow. A
-    # term m^a p m^b p m^c scales with 1/m to the power -(a + b + c) = 1, as
-    # does the linear form, so halving the jet halves every entry, and the
-    # halved jet does not overflow
+def test_entries_near_the_float_limit_assemble_without_overflow(name, pathway):
+    # near 1e154 sums of two samples of 1/m ~ x^2 and (1/m)'^2 overflow; each
+    # sample is weighted before the sum and (1/m)'^2 m taken as du (du / u).
+    # A term m^a p m^b p m^c scales with 1/m to the power -(a + b + c) = 1,
+    # as does the linear form, so halving the jet halves every entry
     prof, grid = lorentzian(m0=1, lam=1), Grid(0.0, 1e154, 45)
     s = catalog(name)
     if pathway == "terms":
         build = lambda p: assemble_terms(s, p, grid)
     else:
         build = lambda p: assemble_linear(linear_params(s), p, grid)
-    with np.errstate(all="ignore"):
-        op = build(prof)
     with np.errstate(all="raise"):
+        op = build(prof)
         half = build(_halved(prof))
     np.testing.assert_allclose(op.bands, 2 * half.bands, rtol=1e-13, atol=0)
 
 
 def test_a_mass_power_that_itself_overflows_is_still_refused():
-    # DA(1) holds m^(-2) = (1/m)^2 ~ x^4, which no recomputation brings back
+    # DA(1) holds m^(-2) = (1/m)^2 ~ x^4, which overflows before any weighting
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="operator entries are not finite"):
             assemble_terms(catalog("DA(1)"), lorentzian(m0=1, lam=1), Grid(0.0, 1e154, 45))

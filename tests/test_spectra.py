@@ -283,9 +283,9 @@ def _dense_central_core(b, h):
     w = 1.0 / (4 * h * h)
     i = np.arange(n)
     diag = np.zeros(n)
-    diag[1:] += b[:-1]
-    diag[:-1] += b[1:]
-    x[i, i] = -w * diag
+    diag[1:] += w * b[:-1]
+    diag[:-1] += w * b[1:]
+    x[i, i] = -diag
     j = np.arange(n - 2)
     x[j, j + 2] = w * b[j + 1]
     x[j + 2, j] = w * b[j + 1]
@@ -297,7 +297,7 @@ def _dense_staggered_core(b_mid, h):
     x = np.zeros((n, n))
     w = 1.0 / (h * h)
     i = np.arange(n)
-    x[i, i] = -w * (b_mid[:-1] + b_mid[1:])
+    x[i, i] = -(w * b_mid[:-1] + w * b_mid[1:])
     j = np.arange(n - 1)
     x[j, j + 1] = w * b_mid[1:-1]
     x[j + 1, j] = w * b_mid[1:-1]
