@@ -49,7 +49,10 @@ stops doing so.
 
 Each pathway is a public wrapper, which checks hbar, samples the profile
 and records the provenance, around a private function that takes the
-samples (`_terms_operator`, `_linear_operator`). `equivalence_defect`
+samples (`_terms_operator`, `_linear_operator`). `assemble_terms` reads
+1/m at the grid points and at the midpoints from one jet call on the
+2n + 1 points of `grid.refined()`, whose odd and even points they are to
+the byte. `equivalence_defect`
 samples the jet once at the grid points and once at the midpoints and
 hands the samples to both; `defect_convergence` runs it on a grid and on
 its refinement.
@@ -157,15 +160,15 @@ class AssembledOperator:
         return _dense(self.bands)
 
     def applied_to(self, psi: np.ndarray) -> np.ndarray:
-        """Banded matrix-vector product A @ psi (psi of shape (n,) or (n, m))."""
+        """Banded matrix-vector product A @ psi for psi of shape (n,), and A
+        applied to each row of psi of shape (m, n)."""
         psi = np.asarray(psi)
         half, n = self.bandwidth, self.grid.n
-        cols = self.bands.reshape(self.bands.shape + (1,) * (psi.ndim - 1))
         out = np.zeros(psi.shape, dtype=np.result_type(self.bands, psi))
         for r in range(2 * half + 1):
             k = half - r  # column minus row on this diagonal
             lo, hi = max(0, -k), min(n, n - k)
-            out[lo:hi] += cols[r, lo + k:hi + k] * psi[lo + k:hi + k]
+            out[..., lo:hi] += self.bands[r, lo + k:hi + k] * psi[..., lo + k:hi + k]
         return out
 
 
@@ -193,6 +196,18 @@ def _inverse_mass_at(profile: MassProfile, x: np.ndarray) -> np.ndarray:
     """1/m at x, the jet's first component, checked by `_positive`. The
     derivatives the jet also returns are not read, so they are not checked."""
     return _positive(np.asarray(profile.jet(x)[0], dtype=float), x)
+
+
+def _inverse_mass_at_points_and_midpoints(profile: MassProfile, grid: Grid):
+    """1/m at the grid points and at the midpoints from one jet call on the
+    2n + 1 points of `grid.refined()` (spacing h/2, computed here without
+    the refined grid's own spacing check): its odd points [1::2] are the
+    grid points and its even points [0::2] the midpoints, to the byte. Each
+    set is checked as by `_inverse_mass_at`, the grid points first, and a
+    NonPositiveMass names the index in its own set."""
+    x = grid.x_min + (grid.h / 2) * np.arange(1, 2 * grid.n + 2)
+    u = np.asarray(profile.jet(x)[0], dtype=float)
+    return _positive(u[1::2], x[1::2]), _positive(u[0::2], x[0::2])
 
 
 def _positive(u: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -250,8 +265,10 @@ def assemble_terms(
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     _require_hbar(hbar)
-    u = _inverse_mass_at(profile, grid.points)
-    u_core = u if scheme == "central" else _inverse_mass_at(profile, grid.midpoints)
+    if scheme == "central":
+        u = u_core = _inverse_mass_at(profile, grid.points)
+    else:
+        u, u_core = _inverse_mass_at_points_and_midpoints(profile, grid)
     prov = {
         "pathway": "terms",
         "scheme": scheme,

@@ -3,20 +3,23 @@
 H is an assembled kinetic operator T plus a potential V(x) on its
 diagonal, assembled under the staggered scheme (no odd-even grid
 decoupling), whose levels converge to the continuum ones at O(h^2).
-`solve` finds the lowest eigenvalues of the tridiagonal H in one LAPACK
-call: Sturm-count bisection brackets each one to within 2^-40 of the
-scaled H's largest entry (LAPACK's default bisects to rounding), inverse
-iteration from the bracket returns its eigenvector, and the eigenvalue
-reported is that vector's Rayleigh quotient, which is exact to rounding
-plus the squared residual over the gap to the next level. It also splits
-the pentadiagonal central H, whose +-1 diagonals are zero, into its even
-and odd tridiagonal blocks laid end to end; that split is kept only
-because the benchmark's `spectra` workload still solves central
-operators, and goes with them. The call sees H scaled by a power of two,
-so that entries near the float limit solve too. Each residual is
-measured for the eigenvector that the same call returns, and the
-provenance records the bracket width and the largest residual. Every
-eta = 0 ordering assembles exactly symmetric and solves,
+`solve` finds the lowest eigenvalues of the tridiagonal H by calling two
+LAPACK routines directly: Sturm-count bisection (`?stebz`) brackets each
+one to within 2^-40 of the scaled H's largest entry (LAPACK's default
+bisects to rounding), inverse iteration (`?stein`) from the bracket
+returns its eigenvector, held as a row, and the eigenvalue reported is
+that vector's Rayleigh quotient, which is exact to rounding plus the
+squared residual over the gap to the next level. Two levels of one LAPACK
+block within 2^10 brackets of each other, from which inverse iteration
+can return one vector twice, send H to bisection to rounding instead. It
+also splits the pentadiagonal central H, whose +-1 diagonals are zero,
+into its even and odd tridiagonal blocks (the slices p::2) laid end to
+end; that split is kept only because the benchmark's `spectra` workload
+still solves central operators, and goes with them. The calls see H
+scaled by a power of two, so that entries near the float limit solve
+too. Each residual is measured for the eigenvector that the same calls
+return, and the provenance records the bracket width and the largest
+residual. Every eta = 0 ordering assembles exactly symmetric and solves,
 mirrored or not; an eta != 0 operator is refused as NotSymmetric.
 Dual-pair spectra are computed and reported side by side without
 asserting equality.
@@ -86,7 +89,8 @@ class SpectrumResult:
     units (0.0 where bisection ran to rounding), and "max_residual",
     max(residuals) / max|H|: an eigenvalue whose gap to its neighbours
     exceeds the bracket is exact to rounding, one in a cluster narrower
-    than it is within it of the true value.
+    than it with a level of another LAPACK block is within it of the true
+    value.
     """
 
     eigenvalues: tuple[float, ...]
@@ -115,12 +119,44 @@ _BRACKET = 2.0**-40
 
 
 def _max_asymmetry(bands: np.ndarray) -> float:
-    """max |A[i, j] - A[j, i]| over the band; entries off it are zero."""
+    """max |A[i, j] - A[j, i]| over the band off the main diagonal; entries
+    off the band are zero."""
     half, n = (bands.shape[0] - 1) // 2, bands.shape[1]
     return max(
-        float(np.max(np.abs(bands[half - k, k:] - bands[half + k, :n - k])))
-        for k in range(half + 1)
+        (float(np.max(np.abs(bands[half - k, k:] - bands[half + k, :n - k])))
+         for k in range(1, half + 1)),
+        default=0.0,
     )
+
+
+def _eigenvectors(d: np.ndarray, e: np.ndarray, k: int, bracket: float):
+    """Eigenvectors of the k lowest levels of the tridiagonal (d, e), one
+    per row, grouped by LAPACK block, or None. `?stebz` brackets each level
+    to within `bracket` (0.0: to rounding) and `?stein` iterates from the
+    brackets. With a nonzero bracket, a nonzero `info` from either routine
+    gives None, and so do two adjacent levels of one block within 2^10
+    brackets of each other; to rounding, a nonzero `info` is a LinAlgError."""
+    # imported here: scipy.linalg is most of the package's import time, and
+    # only the eigensolve needs it. The dotted `from scipy.linalg.lapack
+    # import ...` loads the same modules but measured about 10 ms slower on
+    # a fresh interpreter's first solve
+    from scipy.linalg import lapack
+
+    # range 'I' (levels 1 .. k) and order 'B' (by block, ascending in each)
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, k, bracket, "B")
+    routine, w = "?stebz", w[:m]
+    # from shifts this close, inverse iteration can return one vector twice
+    same_block = iblock[1:m] == iblock[:m - 1]
+    close = bracket and np.any(same_block & (np.diff(w) <= 2.0**10 * bracket))
+    if info == 0 and not close:
+        routine, (z, info) = "?stein", lapack.dstein(d, e, w, iblock, isplit)
+        if info == 0:
+            # the (n, m) array is Fortran-ordered: its transpose is a view
+            # that holds the vectors as contiguous rows
+            return z.T
+    if bracket:
+        return None
+    raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info})")
 
 
 def solve(h: AssembledOperator, k: int) -> SpectrumResult:
@@ -129,21 +165,19 @@ def solve(h: AssembledOperator, k: int) -> SpectrumResult:
     With half-bandwidth l, H must have zero diagonals at offsets 1 .. l-1,
     so that it splits into l tridiagonal blocks, block p on the grid points
     p, p + l, p + 2l, ... (one block for the staggered scheme, two for the
-    central one, which only the benchmark assembles). The blocks, laid end
-    to end, are solved together by one LAPACK call (`eigh_tridiagonal`) in
-    O(n k): bisection (`?stebz`) brackets the k lowest eigenvalues to
-    within 2^-40 max|H| rounded up to a power of two, and inverse iteration
-    (`?stein`) from each bracket returns a unit eigenvector x. Each
-    eigenvalue is then the Rayleigh quotient (x.Hx)/(x.x), accurate to
-    rounding plus ||Hx - ex||^2 / gap, and a level in a cluster narrower
-    than the bracket is within the bracket of the true one. Where inverse
-    iteration fails from the bracket, which a block of small norm that
-    LAPACK splits off can make it do, H is bisected to rounding instead.
-    Each residual is measured on the full H for that x and its quotient."""
-    # imported here: scipy.linalg is most of the package's import time, and
-    # only the eigensolve needs it
-    from scipy.linalg import eigh_tridiagonal
-
+    central one, which only the benchmark assembles). The blocks, gathered
+    with the slices p::l and laid end to end, are solved together in O(n k)
+    by two LAPACK calls: bisection (`?stebz`) brackets the k lowest
+    eigenvalues to within 2^-40 max|H| rounded up to a power of two, and
+    inverse iteration (`?stein`) from each bracket returns a unit
+    eigenvector x, held as a row and scattered back with the same slices.
+    Each eigenvalue is then the Rayleigh quotient (x.Hx)/(x.x), accurate to
+    rounding plus ||Hx - ex||^2 / gap. Where two levels of one LAPACK block
+    lie within 2^10 brackets of each other, or inverse iteration fails from
+    the bracket (a block of small norm that LAPACK splits off can make it),
+    H is bisected to rounding instead; so only levels of different blocks
+    closer than the bracket are each within it of the true one. Each
+    residual is measured on the full H for that x and its quotient."""
     n = h.grid.n
     if not 1 <= k <= n:
         raise KeoError(f"need 1 <= k <= n = {n}, got k = {k}")
@@ -158,36 +192,42 @@ def solve(h: AssembledOperator, k: int) -> SpectrumResult:
                        f"stride-{half} tridiagonal blocks")
     # the blocks laid end to end: the lower-band cell past each block's last
     # point lies outside the matrix and holds zero, so LAPACK splits there
-    order = np.concatenate([np.arange(p, n, half) for p in range(half)])
+    blocks = [slice(p, n, half) for p in range(half)]
     # bisection squares the off-diagonals, so LAPACK sees H scaled by the
     # power of two that brings max|H| into [1/2, 1): entries near 1e154
     # would overflow. The scaling is exact for every entry that stays a
     # normal float, and the eigenvalues come from the unscaled H below
     shift = math.frexp(scale)[1]
-    d, e = np.ldexp(bands[half, order], -shift), np.ldexp(bands[2 * half, order][:-1], -shift)
+    d = np.ldexp(np.concatenate([bands[half, b] for b in blocks]), -shift)
+    e = np.ldexp(np.concatenate([bands[2 * half, b] for b in blocks])[:-1], -shift)
     # the bracket only has to pick out the eigenvalue that inverse iteration
     # converges to; the Rayleigh quotient below fixes its value
     bracket = _BRACKET
-    try:
-        _, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1), tol=bracket)
-    except np.linalg.LinAlgError:
-        # ?stein's convergence test assumes a shift accurate to rounding
-        # and fails without one when the block it lies in has a small norm
-        # (in scaled units), as a block that LAPACK splits off where the
-        # potential swamps the kinetic coupling can
+    vecs = _eigenvectors(d, e, k, bracket)
+    if vecs is None:
+        # two close levels of one block, or ?stein's convergence test, which
+        # assumes a shift accurate to rounding and fails without one when
+        # the block it lies in has a small norm (in scaled units), as a
+        # block that LAPACK splits off where the potential swamps the
+        # kinetic coupling can
         bracket = 0.0
-        _, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
-    x = np.empty((n, vecs.shape[1]))
-    x[order] = vecs
+        vecs = _eigenvectors(d, e, k, bracket)
+    x, start = np.empty((vecs.shape[0], n)), 0
+    for b in blocks:
+        stop = start + len(range(b.start, n, half))
+        x[:, b] = vecs[:, start:stop]
+        start = stop
     hx = h.applied_to(x)
-    # summed over rows elementwise, not as a BLAS product, whose rounding
-    # can depend on its thread count
-    values = (x * hx).sum(axis=0) / (x * x).sum(axis=0)
-    # a level inside a bracket-wide cluster can take its neighbour's slot
-    rank = np.argsort(values, kind="stable")
-    values, x, hx = values[rank], x[:, rank], hx[:, rank]
+    # summed along each row elementwise, not as a BLAS product, whose
+    # rounding can depend on its thread count
+    values = (x * hx).sum(axis=1) / (x * x).sum(axis=1)
     # the norm squares the residual's entries, so it too is taken scaled
-    residuals = np.ldexp(np.linalg.norm(np.ldexp(hx - x * values, -shift), axis=0), shift)
+    residuals = np.ldexp(np.linalg.norm(np.ldexp(hx - values[:, None] * x, -shift), axis=1),
+                         shift)
+    # the rows come block by block, and a level inside a bracket-wide
+    # cluster of two blocks can take its neighbour's slot
+    rank = np.argsort(values, kind="stable")
+    values, residuals = values[rank], residuals[rank]
     prov = dict(h.provenance)
     prov["bracket"] = math.ldexp(bracket, shift)
     prov["max_residual"] = float(residuals.max()) / scale

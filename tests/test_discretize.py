@@ -254,6 +254,44 @@ def test_infinite_inverse_mass_is_a_nonpositive_mass():
             assemble_linear(linear_params(yy), barrier, g)
 
 
+def _bad_at(*xs, width):
+    """1/m = 1 except -1 within `width` of each of xs."""
+    def jet(x):
+        near = np.any([np.abs(x - c) < width for c in xs], axis=0)
+        return np.where(near, -1.0, 1.0), np.zeros_like(x), np.zeros_like(x)
+    return MassProfile("bad", jet)
+
+
+def test_a_nonpositive_mass_is_named_in_the_grid_it_was_sampled_on():
+    # the staggered terms pathway samples the points and the midpoints in
+    # one jet call; each refusal names the index and x in its own grid,
+    # the grid points checked first
+    g = Grid(0.0, 3.0, 20)
+    quarter = g.h / 4
+    yy = catalog("YY")
+    cases = [
+        (_bad_at(g.midpoints[7], width=quarter), 7, g.midpoints[7]),
+        (_bad_at(g.midpoints[5], g.points[12], width=quarter), 12, g.points[12]),
+    ]
+    for profile, index, x in cases:
+        with pytest.raises(NonPositiveMass) as exc:
+            assemble_terms(yy, profile, g)
+        assert (exc.value.index, exc.value.x, exc.value.value) == (index, x, -1.0)
+        assert str(exc.value) == f"mass not positive at grid index {index} (x = {x}): 1/m = -1.0"
+    # the central scheme reads the grid points only
+    assemble_terms(yy, cases[0][0], g, scheme="central")
+
+
+def test_a_grid_whose_refinement_is_refused_assembles():
+    # 1/h^2 = 1e308 is finite, 1/(h/2)^2 is not: the midpoints are sampled
+    # without building the refined grid
+    g = Grid(0.0, 4e-154, 3)
+    with pytest.raises(ValueError, match="finite 1/h"):
+        g.refined()
+    op = assemble_terms(catalog("BDD"), constant(4), g)
+    assert np.isfinite(op.bands).all()
+
+
 def test_non_finite_derivative_is_refused_by_name():
     wrong = _with_wrong(lorentzian(m0=1, lam=1), "dd_inv_m", lambda f: lambda x: f(x) * np.inf)
     with warnings.catch_warnings():

@@ -426,7 +426,16 @@ DENSE_EIGH_MISSES = AssembledOperator(np.array([[0.0, *_SUB], _DIAGONAL, [*_SUB,
                                       Grid(-1.0, 1.0, 21), 1.0)
 
 
+# every entry subnormal: `solve` and bisection differ by one subnormal spacing,
+# and so do two of the residuals from 0, while every bound below that scales
+# with H underflows to 0
+_A = 2.2250738585e-313
+ALL_SUBNORMAL = AssembledOperator(np.array([[0.0, 0.0, _A], [0.0, 0.0, _A], [0.0, _A, 0.0]]),
+                                  Grid(-1.0, 1.0, 3), 1.0)
+
+
 @example((DENSE_EIGH_MISSES, 1))
+@example((ALL_SUBNORMAL, 3))
 @settings(max_examples=300, deadline=None)
 @given(tridiagonals())
 def test_solve_matches_bisection_to_rounding(case):
@@ -446,8 +455,11 @@ def test_solve_matches_bisection_to_rounding(case):
     ), shift)
     res = solve(h, k)
     error = np.max(np.abs(np.array(res.eigenvalues) - expected[:k]))
+    # one subnormal spacing on top of each bound: on an all-subnormal H each
+    # of them underflows to 0
+    tiny = np.finfo(float).smallest_subnormal
     # a level is exact to rounding once its neighbours are outside the bracket
     if np.all(np.diff(expected[:k + 1]) > 2.0**-30 * scale):
-        assert error <= 8 * np.finfo(float).eps * np.max(np.abs(expected))
-    assert error <= 2.0**-39 * scale
-    assert max(res.residuals) <= 1e-12 * scale
+        assert error <= 8 * np.finfo(float).eps * np.max(np.abs(expected)) + tiny
+    assert error <= 2.0**-39 * scale + tiny
+    assert max(res.residuals) <= 1e-12 * scale + tiny

@@ -435,6 +435,54 @@ def test_a_small_block_split_off_solves_to_rounding():
     assert res.provenance["bracket"] == 0.0
 
 
+def test_close_levels_of_one_block_are_bisected_to_rounding():
+    # a tunnelling pair: the two lowest levels of this H are 2.8e-4 apart,
+    # inside the 4.9e-4 bracket, and both lie in one LAPACK block. Bisected
+    # to the bracket only, both shifts are 449.10162104, and the quotients
+    # of the two vectors inverse iteration returns are each ~4e-5 off, with
+    # residuals of 2.2e-13 max|H|
+    h = hamiltonian(assemble_terms(catalog("BDD"), constant(1), Grid(-3e4, 3e4, 1000)),
+                    harmonic(k=1))
+    scale = np.max(np.abs(h.bands))
+    expected = scipy.linalg.eigvalsh_tridiagonal(h.bands[1], h.bands[2, :-1],
+                                                 lapack_driver="stebz")[:5]
+    assert expected[1] - expected[0] < 2.0**-39 * scale
+    res = solve(h, 5)
+    assert res.provenance["bracket"] == 0.0
+    assert np.max(np.abs(np.array(res.eigenvalues) - expected)) <= 2 * np.finfo(float).eps * scale
+    assert res.provenance["max_residual"] <= 1e-15
+
+
+def _failing(routine, tol=None):
+    """A LAPACK routine that reports failure (info = 1), only when called
+    with the bisection tolerance `tol` if one is given."""
+    def call(*args):
+        out = routine(*args)
+        if tol is None or args[7] == tol:
+            out = (*out[:-1], 1)
+        return out
+    return call
+
+
+def test_a_lapack_failure_at_the_bracket_bisects_to_rounding(monkeypatch):
+    from scipy.linalg import lapack
+
+    h = hamiltonian(assemble_terms(catalog("YY"), lorentzian(m0=1, lam=1), Grid(-1.0, 1.0, 200)),
+                    harmonic())
+    expected = solve(h, 5)
+    # ?stebz reports failure at the scaled bracket; to rounding it succeeds
+    monkeypatch.setattr(lapack, "dstebz", _failing(lapack.dstebz, tol=2.0**-40))
+    res = solve(h, 5)
+    assert res.provenance["bracket"] == 0.0
+    atol = 1e-14 * np.max(np.abs(h.bands))
+    assert np.allclose(res.eigenvalues, expected.eigenvalues, rtol=0, atol=atol)
+    # ?stein failing on every call leaves nothing to fall back on
+    monkeypatch.undo()
+    monkeypatch.setattr(lapack, "dstein", _failing(lapack.dstein))
+    with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
+        solve(h, 5)
+
+
 def test_provenance_records_the_bracket_and_the_largest_residual():
     h = hamiltonian(assemble_terms(catalog("YY"), lorentzian(m0=1, lam=1), Grid(-1.0, 1.0, 400)),
                     harmonic())
