@@ -483,7 +483,11 @@ def defect_convergence(
 ) -> DefectConvergence:
     """The two-pathway defect on `grid` and on `grid.refined()`, with the
     observed order of their agreement in h."""
-    fine = grid.refined()
+    try:
+        fine = grid.refined()
+    except ValueError as exc:
+        raise ValueError(f"the refined grid of 2n + 1 = {2 * grid.n + 1} points is refused: "
+                         f"{exc}") from None
     coarse_defect = equivalence_defect(spec, profile, grid, test_function, hbar=hbar)
     fine_defect = equivalence_defect(spec, profile, fine, test_function, hbar=hbar)
     ratio = coarse_defect / fine_defect if fine_defect > 0 else None

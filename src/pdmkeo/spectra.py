@@ -16,10 +16,12 @@ also splits the pentadiagonal central H, whose +-1 diagonals are zero,
 into its even and odd tridiagonal blocks (the slices p::2) laid end to
 end; that split is kept only because the benchmark's `spectra` workload
 still solves central operators, and goes with them. The calls see H
-scaled by a power of two, so that entries near the float limit solve
-too. Each residual is measured for the eigenvector that the same calls
-return, and the provenance records the bracket width and the largest
-residual. Every eta = 0 ordering assembles exactly symmetric and solves,
+scaled by a power of two, and `solve` finishes in those coordinates:
+H x, the quotients and the residual norms are taken on the scaled
+blocks, so that entries near the float limit, and subnormal ones, solve
+too, and only the k eigenvalues and norms are scaled back. The
+provenance records the bracket width and the largest residual relative
+to max|H|. Every eta = 0 ordering assembles exactly symmetric and solves,
 mirrored or not; an eta != 0 operator is refused as NotSymmetric.
 Dual-pair spectra are computed and reported side by side without
 asserting equality.
@@ -82,12 +84,14 @@ class SpectrumResult:
     `eigenvalues[i]` is the Rayleigh quotient e = (x.Hx)/(x.x) of the unit
     vector x that LAPACK's inverse iteration returns from a bisection
     bracket, and x is zero off the block that e came from.
-    `residuals[i]` is ||H x - e x||. It is a few rounding errors of max|H|
-    exactly when e is an eigenvalue of H; within a degenerate pair x is
-    some vector of the shared eigenspace. Besides the operator's own
-    provenance, `provenance` holds "bracket", the bisection width in H's
-    units (0.0 where bisection ran to rounding), and "max_residual",
-    max(residuals) / max|H|: an eigenvalue whose gap to its neighbours
+    `residuals[i]` is ||H x - e x||, measured on H scaled by the power of
+    two that brings max|H| into [1/2, 1) and scaled back. It is a few
+    rounding errors of max|H| exactly when e is an eigenvalue of H; within
+    a degenerate pair x is some vector of the shared eigenspace. Besides
+    the operator's own provenance, `provenance` holds "bracket", the
+    bisection width in H's units (0.0 where bisection ran to rounding), and
+    "max_residual", max(residuals) / max|H| taken in the scaled units, so
+    that it reads the same for a subnormal H: an eigenvalue whose gap to its neighbours
     exceeds the bracket is exact to rounding, one in a cluster narrower
     than it with a level of another LAPACK block is within it of the true
     value.
@@ -122,11 +126,8 @@ def _max_asymmetry(bands: np.ndarray) -> float:
     """max |A[i, j] - A[j, i]| over the band off the main diagonal; entries
     off the band are zero."""
     half, n = (bands.shape[0] - 1) // 2, bands.shape[1]
-    return max(
-        (float(np.max(np.abs(bands[half - k, k:] - bands[half + k, :n - k])))
-         for k in range(1, half + 1)),
-        default=0.0,
-    )
+    return max([float(np.abs(bands[half - k, k:] - bands[half + k, :n - k]).max())
+                for k in range(1, half + 1)], default=0.0)
 
 
 def _eigenvectors(d: np.ndarray, e: np.ndarray, k: int, bracket: float):
@@ -146,8 +147,9 @@ def _eigenvectors(d: np.ndarray, e: np.ndarray, k: int, bracket: float):
     m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, k, bracket, "B")
     routine, w = "?stebz", w[:m]
     # from shifts this close, inverse iteration can return one vector twice
-    same_block = iblock[1:m] == iblock[:m - 1]
-    close = bracket and np.any(same_block & (np.diff(w) <= 2.0**10 * bracket))
+    levels = list(zip(iblock[:m].tolist(), w.tolist()))
+    close = bracket and any(b == c and v - u <= 2.0**10 * bracket
+                            for (b, u), (c, v) in zip(levels, levels[1:]))
     if info == 0 and not close:
         routine, (z, info) = "?stein", lapack.dstein(d, e, w, iblock, isplit)
         if info == 0:
@@ -162,81 +164,76 @@ def _eigenvectors(d: np.ndarray, e: np.ndarray, k: int, bracket: float):
 def solve(h: AssembledOperator, k: int) -> SpectrumResult:
     """Lowest k eigenvalues of a symmetric banded operator.
 
-    With half-bandwidth l, H must have zero diagonals at offsets 1 .. l-1,
-    so that it splits into l tridiagonal blocks, block p on the grid points
-    p, p + l, p + 2l, ... (one block for the staggered scheme, two for the
-    central one, which only the benchmark assembles). The blocks, gathered
-    with the slices p::l and laid end to end, are solved together in O(n k)
-    by two LAPACK calls: bisection (`?stebz`) brackets the k lowest
-    eigenvalues to within 2^-40 max|H| rounded up to a power of two, and
-    inverse iteration (`?stein`) from each bracket returns a unit
-    eigenvector x, held as a row and scattered back with the same slices.
-    Each eigenvalue is then the Rayleigh quotient (x.Hx)/(x.x), accurate to
-    rounding plus ||Hx - ex||^2 / gap. Where two levels of one LAPACK block
-    lie within 2^10 brackets of each other, or inverse iteration fails from
-    the bracket (a block of small norm that LAPACK splits off can make it),
-    H is bisected to rounding instead; so only levels of different blocks
-    closer than the bracket are each within it of the true one. Each
-    residual is measured on the full H for that x and its quotient."""
+    With half-bandwidth l, H must have zero diagonals at offsets 1 .. l-1
+    (read in the lower triangle), so that it splits into l tridiagonal
+    blocks, block p on the grid points p, p + l, p + 2l, ... (one block for
+    the staggered scheme, two for the central one, which only the benchmark
+    assembles). Gathered with the slices p::l, laid end to end and scaled
+    by the power of two that brings max|H| into [1/2, 1), the blocks are
+    solved together in O(n k): bisection (`?stebz`) brackets the k lowest
+    eigenvalues to within 2^-40 of the scaled max|H|, and inverse iteration
+    (`?stein`) from each bracket returns a unit eigenvector x, held as a
+    row. In the same coordinates each eigenvalue is the Rayleigh quotient
+    e = (x.Hx)/(x.x), accurate to rounding plus ||Hx - ex||^2 / gap, and
+    the residual ||Hx - ex|| is taken on the blocks; only these k pairs are
+    scaled back. Where two levels of one LAPACK block lie within 2^10
+    brackets of each other, or inverse iteration fails from the bracket (a
+    block of small norm that LAPACK splits off can make it), H is bisected
+    to rounding instead; so only levels of different blocks closer than the
+    bracket are each within it of the true one."""
     n = h.grid.n
     if not 1 <= k <= n:
         raise KeoError(f"need 1 <= k <= n = {n}, got k = {k}")
     bands, half = h.bands, h.bandwidth
-    scale = float(np.max(np.abs(bands))) or 1.0
+    scale = float(np.abs(bands).max()) or 1.0
     asym = _max_asymmetry(bands)
     if asym > 1e-10 * scale:
         raise NotSymmetric(asym)
-    # read the lower triangle, as a dense symmetric solver does
-    if half == 0 or np.any(bands[half + 1:2 * half, :-1]):
+    if half == 0 or bands[half + 1:2 * half, :-1].any():
         raise KeoError(f"operator of half-bandwidth {half} does not split into "
                        f"stride-{half} tridiagonal blocks")
-    # the blocks laid end to end: the lower-band cell past each block's last
-    # point lies outside the matrix and holds zero, so LAPACK splits there
-    blocks = [slice(p, n, half) for p in range(half)]
-    # bisection squares the off-diagonals, so LAPACK sees H scaled by the
-    # power of two that brings max|H| into [1/2, 1): entries near 1e154
-    # would overflow. The scaling is exact for every entry that stays a
-    # normal float, and the eigenvalues come from the unscaled H below
-    shift = math.frexp(scale)[1]
-    d = np.ldexp(np.concatenate([bands[half, b] for b in blocks]), -shift)
-    e = np.ldexp(np.concatenate([bands[2 * half, b] for b in blocks])[:-1], -shift)
+    # bisection squares the off-diagonals, so all below works on H scaled to
+    # max|H| = unit in [1/2, 1): entries near 1e154 would overflow, and a
+    # subnormal H would have no precision. The scaling is exact for every
+    # entry that stays a normal float. Rows 0, l and 2l hold each block's
+    # upper, main and lower diagonal; laid end to end, the upper cell before
+    # and the lower cell after each block lie outside the matrix and hold
+    # zero, so LAPACK splits there
+    unit, shift = math.frexp(scale)
+    rows = bands[::half]
+    if half > 1:
+        rows = np.concatenate([rows[:, p::half] for p in range(half)], axis=1)
+    upper, diagonal, lower = np.ldexp(rows, -shift)
     # the bracket only has to pick out the eigenvalue that inverse iteration
     # converges to; the Rayleigh quotient below fixes its value
     bracket = _BRACKET
-    vecs = _eigenvectors(d, e, k, bracket)
-    if vecs is None:
+    x = _eigenvectors(diagonal, lower[:-1], k, bracket)
+    if x is None:
         # two close levels of one block, or ?stein's convergence test, which
         # assumes a shift accurate to rounding and fails without one when
         # the block it lies in has a small norm (in scaled units), as a
         # block that LAPACK splits off where the potential swamps the
         # kinetic coupling can
         bracket = 0.0
-        vecs = _eigenvectors(d, e, k, bracket)
-    x, start = np.empty((vecs.shape[0], n)), 0
-    for b in blocks:
-        stop = start + len(range(b.start, n, half))
-        x[:, b] = vecs[:, start:stop]
-        start = stop
-    hx = h.applied_to(x)
+        x = _eigenvectors(diagonal, lower[:-1], k, bracket)
+    # (d x + u x) + l x, the sums of `applied_to`: each entry rounds alike
+    hx = diagonal * x
+    hx[:, :-1] += upper[1:] * x[:, 1:]
+    hx[:, 1:] += lower[:-1] * x[:, :-1]
     # summed along each row elementwise, not as a BLAS product, whose
     # rounding can depend on its thread count
     values = (x * hx).sum(axis=1) / (x * x).sum(axis=1)
-    # the norm squares the residual's entries, so it too is taken scaled
-    residuals = np.ldexp(np.linalg.norm(np.ldexp(hx - values[:, None] * x, -shift), axis=1),
-                         shift)
+    hx -= values[:, None] * x
+    values, residuals = values.tolist(), np.linalg.norm(hx, axis=1).tolist()
     # the rows come block by block, and a level inside a bracket-wide
     # cluster of two blocks can take its neighbour's slot
-    rank = np.argsort(values, kind="stable")
-    values, residuals = values[rank], residuals[rank]
+    rank = sorted(range(len(values)), key=values.__getitem__)
     prov = dict(h.provenance)
     prov["bracket"] = math.ldexp(bracket, shift)
-    prov["max_residual"] = float(residuals.max()) / scale
-    return SpectrumResult(
-        eigenvalues=tuple(map(float, values)),
-        grid=h.grid,
-        provenance=prov,
-        residuals=tuple(map(float, residuals)),
-    )
+    prov["max_residual"] = max(residuals) / unit
+    return SpectrumResult(eigenvalues=tuple(math.ldexp(values[i], shift) for i in rank),
+                          grid=h.grid, provenance=prov,
+                          residuals=tuple(math.ldexp(residuals[i], shift) for i in rank))
 
 
 def spectrum_of_spec(

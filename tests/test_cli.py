@@ -425,6 +425,16 @@ def test_non_finite_grid_and_hbar_are_domain_errors(argv):
     assert len(cp.stderr.splitlines()) == 1 and cp.stderr.startswith("error:")
 
 
+def test_defect_names_the_refined_grid_it_refuses():
+    # h = 1e-154 has a finite 1/h^2, but the refined grid's h/2 does not
+    cp = run_cli("defect", "--name", "YY", "--profile", "constant:m0=4", "--xmin=0",
+                 "--xmax=4e-154", "--n", "3")
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    assert cp.stderr == ("error: the refined grid of 2n + 1 = 7 points is refused: "
+                         "need a spacing with a finite 1/h^2, got h = 5e-155\n")
+
+
 def test_spectrum_refuses_first_order_orderings():
     cp = run_cli("spectrum", "--expr", "1/2 * m^(-1) p p", "--profile", "lorentzian")
     assert cp.returncode == 1

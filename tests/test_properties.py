@@ -1,9 +1,10 @@
 """Property-based oracles: parser fixpoints, exact inversion round trips,
 the duality involution, classification against its reference, surd
 comparisons, the exact symmetry of every Hermitian assembly, assembly
-against its whole-band reference to the byte and the shared continuum
-spectrum of orderings at one (xi, zeta), checked on generated inputs
-instead of hand-picked catalog entries."""
+against its whole-band reference to the byte, `solve` against its
+grid-coordinate reference and the shared continuum spectrum of orderings
+at one (xi, zeta), checked on generated inputs instead of hand-picked
+catalog entries."""
 
 from fractions import Fraction as F
 
@@ -17,9 +18,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from assembly_reference import reference_assemble_linear, reference_assemble_terms
 from classify_reference import reference_classify
+from spectra_reference import reference_solve
 from pdmkeo.discretize import AssembledOperator, Grid
 from pdmkeo.classify import classify, dual, in_allowed_region, invert, to_duality
-from pdmkeo.errors import DualOutsideAllowedRegion, OutsideAllowedRegion
+from pdmkeo.errors import DualOutsideAllowedRegion, KeoError, OutsideAllowedRegion
 from pdmkeo.ordering import (
     CATALOG_NAMES, BuildingBlock, OrderingSpec, catalog, linear_params, spec,
 )
@@ -399,11 +401,10 @@ def test_staggered_levels_converge_to_the_exact_levels(s, prof, a, length, hbar)
 
 
 @st.composite
-def tridiagonals(draw):
+def tridiagonals(draw, entries=st.one_of(st.floats(-1, 1), st.integers(-2, 2).map(float))):
     """A symmetric tridiagonal operator of 3-80 points with entries in
     [-1, 1], small integers at times so that levels can tie, and k."""
     n = draw(st.integers(3, 80))
-    entries = st.one_of(st.floats(-1, 1), st.integers(-2, 2).map(float))
     diagonal = draw(st.lists(entries, min_size=n, max_size=n))
     off = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
     bands = np.array([[0.0, *off], diagonal, [*off, 0.0]])
@@ -463,3 +464,60 @@ def test_solve_matches_bisection_to_rounding(case):
         assert error <= 8 * np.finfo(float).eps * np.max(np.abs(expected)) + tiny
     assert error <= 2.0**-39 * scale + tiny
     assert max(res.residuals) <= 1e-12 * scale + tiny
+
+
+# nonzero entries within 2^9 of each other: scaled by 10^p, |p| <= 60, an
+# eigenvector's products with them stay normal floats in H's units and in
+# the scaled ones
+NORMAL_RANGE = st.one_of(st.floats(2.0**-8, 1), st.floats(-1, -2.0**-8),
+                         st.integers(-2, 2).map(float))
+
+
+def _assert_solve_matches_reference(h, k, scheme):
+    """`solve` and the reference that finishes in grid coordinates agree
+    to the byte on a staggered H, or refuse it alike. On a central H the
+    two blocks' entries are summed in another order: each level agrees
+    within 4 eps max(max|H|, |level|) (the levels above max|H| have
+    rounding errors of their own size), and the residuals, as a set, since
+    the members of a degenerate pair can change places, within 4 eps max|H|."""
+    try:
+        expected = reference_solve(h, k)
+    except KeoError as exc:
+        with pytest.raises(type(exc)) as got:
+            solve(h, k)
+        assert str(got.value) == str(exc)
+        return
+    res = solve(h, k)
+    got = (np.array(res.eigenvalues), np.array(res.residuals), res.provenance["max_residual"])
+    if scheme == "staggered":
+        assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in expected]
+    else:
+        eps, scale = np.finfo(float).eps, np.max(np.abs(h.bands))
+        assert np.all(np.abs(got[0] - expected[0]) <= 4 * eps * np.maximum(scale, np.abs(got[0])))
+        assert np.max(np.abs(np.sort(got[1]) - np.sort(expected[1]))) <= 4 * eps * scale
+        assert abs(got[2] - expected[2]) <= 4 * eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(tridiagonals(NORMAL_RANGE), st.integers(-60, 60))
+def test_solve_matches_the_grid_coordinate_reference_on_tridiagonals(case, p):
+    h, k = case
+    h = AssembledOperator(h.bands * 10.0**p, h.grid, 1.0)
+    _assert_solve_matches_reference(h, k, "staggered")
+
+
+@settings(max_examples=200, deadline=None)
+@given(assembled_orderings(), builtin_profiles(), st.integers(3, 60),
+       st.sampled_from(["central", "staggered"]), st.sampled_from(["zero", "harmonic:k=4"]),
+       st.sampled_from([1.0, 1e-100, 1e100]), st.data())
+def test_solve_matches_the_grid_coordinate_reference_on_assembled_operators(
+        s, prof, n, scheme, potential, hbar, data):
+    from pdmkeo.discretize import assemble_terms
+    from pdmkeo.spectra import hamiltonian, make_potential
+
+    try:
+        keo = assemble_terms(s, prof, Grid(-1.0, 1.0, n), hbar=hbar, scheme=scheme)
+    except ValueError:  # entries that are not finite
+        return
+    h = hamiltonian(keo, make_potential(potential))
+    _assert_solve_matches_reference(h, data.draw(st.integers(1, n)), scheme)

@@ -508,6 +508,20 @@ def test_operators_with_entries_near_the_float_limit_solve(scheme):
     assert max(res.residuals) <= 1e-9 * np.max(np.abs(keo.bands))
 
 
+def test_max_residual_reads_the_same_on_a_subnormal_operator():
+    # every entry subnormal: the residuals are taken on H scaled by a power
+    # of two, whose entries are normal, so max_residual is the one of the
+    # same H scaled into the normal range, and the levels are its levels
+    # scaled back
+    a = 2.2250738585e-313
+    bands = np.array([[0.0, 0.0, a], [0.0, 0.0, a], [0.0, a, 0.0]])
+    res = solve(AssembledOperator(bands, Grid(-1.0, 1.0, 3), 1.0), 3)
+    assert res.provenance["max_residual"] <= 1e-15
+    normal = solve(AssembledOperator(np.ldexp(bands, 1040), Grid(-1.0, 1.0, 3), 1.0), 3)
+    assert res.provenance["max_residual"] == normal.provenance["max_residual"]
+    assert res.eigenvalues == tuple(np.ldexp(normal.eigenvalues, -1040))
+
+
 @pytest.mark.parametrize("scheme", ["central", "staggered"])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_small_grids_and_single_point_blocks(n, scheme):
