@@ -13,7 +13,7 @@ reduction of a multi-term ordering to its linear parameters. A mass
 profile is read only through its jet, x -> (1/m, (1/m)', (1/m)''), and
 is checked where it is sampled: 1/m at every point an operator uses, and
 the derivatives, which only the linear path reads, in
-`_inverse_mass_and_derivatives`, against finite differences of 1/m.
+`_check_derivatives`, against finite differences of 1/m.
 
 Both pathways use the staggered scheme: the kinetic core d/dx b d/dx is
 the three-point divergence stencil `_core_diagonals` with b sampled at
@@ -49,18 +49,18 @@ stops doing so.
 
 Each pathway is a public wrapper, which checks hbar, samples the profile
 and records the provenance, around a private function that takes the
-samples (`_terms_operator`, `_linear_operator`). `assemble_terms` reads
-1/m at the grid points and at the midpoints from one jet call on the
-2n + 1 points of `grid.refined()`, whose odd and even points they are to
-the byte. `equivalence_defect`
-samples the jet once at the grid points and once at the midpoints and
-hands the samples to both; `defect_convergence` runs it on a grid and on
-its refinement.
+samples (`_terms_operator`, `_linear_operator`). Every staggered
+assembly samples the profile with `_sample`: one jet call on the 2n + 1
+half-step points, whose odd and even points are the grid points and the
+midpoints to the byte. `equivalence_defect` hands one such sampling to
+both pathways; `defect_convergence` runs it on a grid and on its
+refinement.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -87,6 +87,10 @@ class Grid:
     n: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"need an integer n, got n = {self.n!r}") from None
         if self.n < 3:
             raise ValueError("need n >= 3 interior points")
         if not all(map(math.isfinite, (self.x_min, self.x_max, self.h))):
@@ -192,22 +196,23 @@ def derivative_matrix(grid: Grid) -> np.ndarray:
     return _dense(bands)
 
 
-def _inverse_mass_at(profile: MassProfile, x: np.ndarray) -> np.ndarray:
-    """1/m at x, the jet's first component, checked by `_positive`. The
-    derivatives the jet also returns are not read, so they are not checked."""
-    return _positive(np.asarray(profile.jet(x)[0], dtype=float), x)
-
-
-def _inverse_mass_at_points_and_midpoints(profile: MassProfile, grid: Grid):
-    """1/m at the grid points and at the midpoints from one jet call on the
-    2n + 1 points of `grid.refined()` (spacing h/2, computed here without
-    the refined grid's own spacing check): its odd points [1::2] are the
-    grid points and its even points [0::2] the midpoints, to the byte. Each
-    set is checked as by `_inverse_mass_at`, the grid points first, and a
-    NonPositiveMass names the index in its own set."""
+def _sample(profile: MassProfile, grid: Grid, derivatives: bool = False) -> tuple:
+    """The profile's jet from one call on the 2n + 1 points x_min + j h/2,
+    j = 1 .. 2n + 1, whose odd points [1::2] are the grid points and even
+    points [0::2] the midpoints to the byte: (h/2) 2j == h j and
+    (h/2) (2j + 1) == h (j + 1/2), h/2 being normal where 1/h^2 is finite.
+    Returns contiguous copies of 1/m at the grid points, of (1/m)' and
+    (1/m)'' there if `derivatives`, and of 1/m at the midpoints, checked in
+    that order (`_positive`, `_check_derivatives`); a NonPositiveMass names
+    the index in its own set."""
     x = grid.x_min + (grid.h / 2) * np.arange(1, 2 * grid.n + 2)
-    u = np.asarray(profile.jet(x)[0], dtype=float)
-    return _positive(u[1::2], x[1::2]), _positive(u[0::2], x[0::2])
+    jet = [np.asarray(v, dtype=float) for v in profile.jet(x)]
+    u = _positive(jet[0][1::2].copy(), x[1::2])
+    if derivatives:
+        du, ddu = (v[1::2].copy() for v in jet[1:])
+        _check_derivatives(profile, x[1::2], u, du, ddu)
+    u_mid = _positive(jet[0][0::2].copy(), x[0::2])
+    return (u, du, ddu, u_mid) if derivatives else (u, u_mid)
 
 
 def _positive(u: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -266,9 +271,9 @@ def assemble_terms(
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     _require_hbar(hbar)
     if scheme == "central":
-        u = u_core = _inverse_mass_at(profile, grid.points)
+        u = u_core = _positive(np.asarray(profile.jet(grid.points)[0], dtype=float), grid.points)
     else:
-        u, u_core = _inverse_mass_at_points_and_midpoints(profile, grid)
+        u, u_core = _sample(profile, grid)
     prov = {
         "pathway": "terms",
         "scheme": scheme,
@@ -325,22 +330,20 @@ def effective_potential(
 ):
     """Multiplicative reordering potential (hbar^2/2) [xi (1/m)'' + zeta ((1/m)')^2 m]."""
     xs = np.asarray(x, dtype=float)
-    out = _effective_potential(params, *_inverse_mass_and_derivatives(profile, xs.ravel()), hbar)
-    if xs.ndim == 0:
-        return float(out[0])
-    return out.reshape(xs.shape)
+    flat = xs.ravel()
+    u, du, ddu = (np.asarray(v, dtype=float) for v in profile.jet(flat))
+    _check_derivatives(profile, flat, _positive(u, flat), du, ddu)
+    out = _effective_potential(params, u, du, ddu, hbar)
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def _inverse_mass_and_derivatives(profile: MassProfile, x: np.ndarray):
-    """The jet's samples of 1/m, (1/m)' and (1/m)'' at x, from one call, 1/m
-    checked as in `_inverse_mass_at`. A derivative (d_inv_m, dd_inv_m) that is
-    not finite, or unlike central differences of 1/m at every
+def _check_derivatives(profile: MassProfile, x: np.ndarray, u, du, ddu) -> None:
+    """A derivative (d_inv_m, dd_inv_m) sampled at x, with u = 1/m there, that
+    is not finite, or unlike central differences of 1/m at every
     (x.size // 21)-th point by more than the rounding of x explains, is a
     ValueError."""
-    u, du, ddu = (np.asarray(v, dtype=float) for v in profile.jet(x))
-    _positive(u, x)
     if x.size == 0:
-        return u, du, ddu
+        return
     # a scale is NaN or inf if one of its samples is
     scale, scale1, scale2 = max(1.0, float(u.max())), *(float(np.abs(v).max()) for v in (du, ddu))
     for name, v, s in (("d_inv_m", du, scale1), ("dd_inv_m", ddu, scale2)):
@@ -369,7 +372,6 @@ def _inverse_mass_and_derivatives(profile: MassProfile, x: np.ndarray):
                            ("dd_inv_m", err2, 1e-3 * max(scale, scale2))):
         if not err <= tol:
             raise ValueError(f"profile {profile.name!r}: {name} disagrees with finite differences")
-    return u, du, ddu
 
 
 def _effective_potential(params: LinearParams, u, du, ddu, hbar: float) -> np.ndarray:
@@ -388,8 +390,7 @@ def assemble_linear(
     """Canonical assembly p(1/m)p/2 + defect term + effective potential,
     tridiagonal (the staggered scheme)."""
     _require_hbar(hbar)
-    u, du, ddu = _inverse_mass_and_derivatives(profile, grid.points)
-    u_mid = _inverse_mass_at(profile, grid.midpoints)
+    u, du, ddu, u_mid = _sample(profile, grid, derivatives=True)
     prov = {
         "pathway": "linear",
         "scheme": "staggered",
@@ -440,16 +441,12 @@ def equivalence_defect(
     """||(A_terms - A_linear) psi||_2 / ||psi||_2 for psi sampled from a smooth
     boundary-vanishing test function; the two-pathway agreement oracle.
     A zero or non-finite ||psi||, or a non-finite defect, is a ValueError.
-    Both pathways are assembled under the staggered scheme from one sampling
-    of the profile's jet at the grid points, with the derivative probe, and
-    one at the midpoints."""
+    Both pathways are assembled under the staggered scheme from one `_sample`."""
     _require_hbar(hbar)
-    x = grid.points
-    u, du, ddu = _inverse_mass_and_derivatives(profile, x)
-    u_mid = _inverse_mass_at(profile, grid.midpoints)
+    u, du, ddu, u_mid = _sample(profile, grid, derivatives=True)
     a = _terms_operator(spec, u, u_mid, grid, hbar, "staggered", {})
     b = _linear_operator(linear_params(spec), u, du, ddu, u_mid, grid, hbar, {})
-    psi = np.asarray(test_function(x), dtype=float)
+    psi = np.asarray(test_function(grid.points), dtype=float)
     norm = float(np.linalg.norm(psi))
     if norm == 0:
         raise ValueError("test function vanishes identically on the grid")

@@ -16,7 +16,7 @@ constraints) and computes its three weighted means once, on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 
 from .errors import ConstraintViolation, ParameterDomainError, UnknownOrdering, WeightSumViolation
@@ -171,24 +171,6 @@ def _rat(x) -> Fraction:
     return value
 
 
-def _catalog_bdd() -> tuple:
-    return ((1, 0, -1, 0),)
-
-
-def _catalog_gw() -> tuple:
-    return ((Fraction(1, 2), -1, 0, 0), (Fraction(1, 2), 0, 0, -1))
-
-
-def _catalog_zk() -> tuple:
-    h = Fraction(1, 2)
-    return ((1, -h, 0, -h),)
-
-
-def _catalog_mm() -> tuple:
-    q = Fraction(1, 4)
-    return ((1, -q, -Fraction(1, 2), -q),)
-
-
 def _catalog_w() -> tuple:
     return (
         (Fraction(1, 4), -1, 0, 0),
@@ -218,10 +200,6 @@ def _catalog_lkda(alpha) -> tuple:
     return ((Fraction(1, 2), a, b, 0), (Fraction(1, 2), 0, b, a))
 
 
-def _catalog_lk() -> tuple:
-    return _catalog_lkda(Fraction(-1, 2))
-
-
 def _catalog_vr(alpha, gamma) -> tuple:
     a, g = _rat(alpha), _rat(gamma)
     b = -1 - a - g
@@ -244,12 +222,12 @@ def _catalog_da(alpha) -> tuple:
 
 # name -> (builder, number of rational parameters)
 _CATALOG = {
-    "BDD": (_catalog_bdd, 0),
-    "GW": (_catalog_gw, 0),
-    "ZK": (_catalog_zk, 0),
-    "MM": (_catalog_mm, 0),
+    "BDD": (partial(_catalog_mb, 0), 0),
+    "GW": (partial(_catalog_vr, -1, 0), 0),
+    "ZK": (partial(_catalog_mb, Fraction(-1, 2)), 0),
+    "MM": (partial(_catalog_mb, Fraction(-1, 4)), 0),
     "W": (_catalog_w, 0),
-    "LK": (_catalog_lk, 0),
+    "LK": (partial(_catalog_lkda, Fraction(-1, 2)), 0),
     "Lal": (_catalog_lal, 0),
     "YY": (_catalog_yy, 0),
     "MB": (_catalog_mb, 1),

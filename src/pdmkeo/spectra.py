@@ -30,6 +30,7 @@ asserting equality.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -182,6 +183,10 @@ def solve(h: AssembledOperator, k: int) -> SpectrumResult:
     to rounding instead; so only levels of different blocks closer than the
     bracket are each within it of the true one."""
     n = h.grid.n
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise KeoError(f"need an integer k, got k = {k!r}") from None
     if not 1 <= k <= n:
         raise KeoError(f"need 1 <= k <= n = {n}, got k = {k}")
     bands, half = h.bands, h.bandwidth

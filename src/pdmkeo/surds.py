@@ -13,18 +13,33 @@ from fractions import Fraction
 from functools import total_ordering
 
 
+# trial division stops here; it decides every n below _TRIAL_LIMIT^3 = 2^63
+_TRIAL_LIMIT = 1 << 21
+
+
 def _split_square(n: int) -> tuple[int, int]:
-    """Return (s, d) with n = s*s*d and d squarefree, for n >= 1."""
-    s, d = 1, n
-    i = 2
-    while i * i <= d:
-        q, r = divmod(d, i * i)
-        if r == 0:
-            s *= i
-            d = q
-        else:
-            i += 1
-    return s, d
+    """Return (s, d) with n = s*s*d and d squarefree, for n >= 1. Each of
+    i = 2, 3, 5, 7, 9, ... (a composite i no longer divides) is divided out
+    while i^3 <= the cofactor c, which leaves c with at most two prime
+    factors: c is p*p, which `math.isqrt` finds, or it is squarefree. A
+    cofactor still above i^3 once i passes `_TRIAL_LIMIT` (above 2^63, so n
+    is too) is a ValueError, unless it is a square."""
+    s, d, c, i = 1, 1, n, 2
+    while i * i * i <= c and i <= _TRIAL_LIMIT:
+        e = 0
+        while c % i == 0:
+            c //= i
+            e += 1
+        s *= i ** (e // 2)
+        d *= i ** (e % 2)
+        i += 1 if i == 2 else 2
+    r = math.isqrt(c)
+    if r * r == c:
+        return s * r, d
+    if i * i * i <= c:
+        raise ValueError(f"exact square root out of reach: {n} has a part above 2^63 "
+                         f"free of primes below 2^21")
+    return s, d * c
 
 
 def _as_fraction(x) -> Fraction:
@@ -55,15 +70,25 @@ class Surd:
         if d < 0:
             raise ValueError(f"negative radicand {d}")
         if b != 0 and d > 1:
-            s, d0 = _split_square(d)
+            s, d = _split_square(d)
             b *= s
-            d = d0
+        self._set(a, b, d)
+
+    def _set(self, a: Fraction, b: Fraction, d: int) -> None:
         if d <= 1 or b == 0:
             # sqrt(0) = 0, sqrt(1) = 1: fold into the rational part
             a, b, d = a + b * d, Fraction(0), 1
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _of(cls, a: Fraction, b: Fraction, d: int) -> "Surd":
+        """a + b*sqrt(d) for a squarefree d, as arithmetic in one field
+        yields: d is not split again."""
+        out = object.__new__(cls)
+        out._set(a, b, d)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Surd is immutable")
@@ -76,10 +101,10 @@ class Surd:
             raise ValueError(f"square root of negative rational {r}")
         if r == 0:
             return cls(0)
-        # sqrt(p/q) = sqrt(p*q)/q
-        n = r.numerator * r.denominator
-        s, d = _split_square(n)
-        return cls(0, Fraction(s, r.denominator), d)
+        # sqrt(p/q) = sqrt(p*q)/q, and p*q = (s1*s2)^2 (d1*d2) with d1*d2
+        # squarefree, p and q being coprime
+        (s1, d1), (s2, d2) = _split_square(r.numerator), _split_square(r.denominator)
+        return cls._of(Fraction(0), Fraction(s1 * s2, r.denominator), d1 * d2)
 
     @property
     def is_rational(self) -> bool:
@@ -113,12 +138,12 @@ class Surd:
         if o is None:
             return NotImplemented
         d = self._common_d(o)
-        return Surd(self.a + o.a, self.b + o.b, d)
+        return Surd._of(self.a + o.a, self.b + o.b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Surd(-self.a, -self.b, self.d)
+        return Surd._of(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -137,7 +162,7 @@ class Surd:
         if o is None:
             return NotImplemented
         d = self._common_d(o)
-        return Surd(
+        return Surd._of(
             self.a * o.a + self.b * o.b * d,
             self.a * o.b + self.b * o.a,
             d,
@@ -153,9 +178,8 @@ class Surd:
         norm = o.a * o.a - o.b * o.b * d
         if norm == 0:
             raise ZeroDivisionError("division by zero surd")
-        conj = Surd(o.a, -o.b, d)
-        num = self * conj
-        return Surd(num.a / norm, num.b / norm, d)
+        num = self * Surd._of(o.a, -o.b, d)
+        return Surd._of(num.a / norm, num.b / norm, d)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)

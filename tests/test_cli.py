@@ -85,6 +85,20 @@ def test_invert_surd_and_float_modes():
     assert abs(float(doc["terms"][0]["alpha"]) - (-0.25 + 2**0.5 / 8)) < 1e-15
 
 
+def test_invert_with_a_radicand_beyond_the_factoring_cap_is_a_prompt_domain_error():
+    argv = ["invert", "--xi", "-1/1000000007", "--zeta", "1/100000000000000000039",
+            "--class", "vR"]
+    for extra in ([], ["--float"]):
+        cp = run_cli(*argv, *extra, timeout=30)
+        assert cp.returncode == 1 and cp.stdout == ""
+        assert cp.stderr.startswith("error: exact square root out of reach: ")
+        assert cp.stderr.count("\n") == 1
+    # a square factor far above the trial bound's cube root is still found
+    cp = run_cli("invert", "--xi", "-1/1000003", "--zeta", "0", "--class", "vR", timeout=30)
+    assert cp.returncode == 0
+    assert [t["gamma"] for t in json.loads(cp.stdout)["terms"]] == ["-2/1000003", "0"]
+
+
 def test_dual_roundtrip_values():
     cp = run_cli("dual", "--xi", "-1/4", "--zeta", "0")
     doc = json.loads(cp.stdout)

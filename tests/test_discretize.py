@@ -52,6 +52,13 @@ def test_grid_validation():
     assert len(g.midpoints) == 5
 
 
+def test_grid_refuses_a_count_that_is_not_an_integer():
+    for n in (5.5, 5.0):
+        with pytest.raises(ValueError, match="need an integer n"):
+            Grid(0.0, 1.0, n)
+    assert Grid(0.0, 1.0, np.int64(5)).points.size == 5
+
+
 def test_derivative_matrix_small():
     d = derivative_matrix(Grid(0.0, 4.0, 3))
     assert d.tolist() == [[0.0, 0.5, 0.0], [-0.5, 0.0, 0.5], [0.0, -0.5, 0.0]]
@@ -365,19 +372,35 @@ def test_equivalence_defect_trivial_cases():
     assert equivalence_defect(catalog("BDD"), lorentzian(m0=1, lam=1), g, BUMP) == 0.0
 
 
-def test_equivalence_defect_samples_the_jet_once_per_grid():
+def _counting(sizes):
+    """lorentzian, recording the size of each jet call in `sizes`."""
     base = lorentzian(m0=1, lam=1)
-    sizes = []
 
     def jet(x):
         sizes.append(np.size(x))
         return base.jet(x)
 
+    return MassProfile("counting", jet)
+
+
+def test_equivalence_defect_samples_the_jet_once_per_grid():
+    sizes = []
     g = Grid(-1.0, 1.0, 50)
-    equivalence_defect(catalog("YY"), MassProfile("counting", jet), g, BUMP)
-    # the grid points, for both pathways, then the derivative probe's shifted
-    # points, then the midpoints, for both pathways' kinetic cores
-    assert len(sizes) == 3 and sizes[0] == g.n and sizes[2] == g.n + 1
+    equivalence_defect(catalog("YY"), _counting(sizes), g, BUMP)
+    # the 2n + 1 half-step points, for both pathways, then the derivative
+    # probe's shifted points
+    assert len(sizes) == 2 and sizes[0] == 2 * g.n + 1
+
+
+def test_assemble_linear_samples_the_jet_once_and_probes_once():
+    sizes = []
+    g = Grid(-1.0, 1.0, 50)
+    assemble_linear(linear_params(catalog("YY")), _counting(sizes), g)
+    assert len(sizes) == 2 and sizes[0] == 2 * g.n + 1
+    # the staggered terms pathway reads no derivative, so it does not probe
+    sizes.clear()
+    assemble_terms(catalog("YY"), _counting(sizes), g)
+    assert sizes == [2 * g.n + 1]
 
 
 @pytest.mark.parametrize("name", ["YY", "BDD", "DA(-1/2)", "vR(-1/4,-1/2)", "MB(-1/3)", "eta"])

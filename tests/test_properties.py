@@ -276,6 +276,36 @@ def test_linear_assembly_matches_the_whole_band_reference_to_the_byte(s, prof, n
                               prof, n, hbar)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False), st.integers(3, 2000))
+@example(0.0, 4e-154, 3)  # 1/h^2 finite, 1/(h/2)^2 not
+@example(1e8, 1e8 + 10, 45)
+@example(-1e300, 1e300, 1000)
+def test_the_half_step_samples_are_the_grid_points_and_midpoints(x_min, x_max, n):
+    """The one jet call of `_sample`, on the 2n + 1 points x_min + j h/2,
+    holds the grid points at [1::2] and the midpoints at [0::2] to the byte."""
+    import numpy as np
+
+    from pdmkeo.discretize import Grid, _sample
+    from pdmkeo.profiles import MassProfile
+
+    try:
+        grid = Grid(x_min, x_max, n)
+    except ValueError:
+        assume(False)
+    calls = []
+
+    def jet(x):
+        calls.append(x)
+        return np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+
+    _sample(MassProfile("recording", jet), grid)
+    (x,) = calls
+    assert x[1::2].tobytes() == grid.points.tobytes()
+    assert x[0::2].tobytes() == grid.midpoints.tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(builtin_profiles(),
        st.lists(st.fractions(-3, 3, max_denominator=100), min_size=2, max_size=2, unique=True),

@@ -111,6 +111,15 @@ def box_eigenvalues(grid, scheme, m0, k):
     return np.sort(values)[:k]
 
 
+def test_solve_refuses_a_k_that_is_not_an_integer():
+    g = Grid(-1.0, 1.0, 10)
+    h = hamiltonian(assemble_terms(catalog("BDD"), constant(1), g), zero_potential())
+    for k in (2.5, 2.0, "2"):
+        with pytest.raises(KeoError, match="need an integer k"):
+            solve(h, k)
+    assert len(solve(h, np.int64(2)).eigenvalues) == 2
+
+
 def test_solve_rejects_bad_k_and_solves_large_n():
     g = Grid(-1.0, 1.0, 10)
     h = hamiltonian(assemble_terms(catalog("BDD"), constant(1), g), zero_potential())

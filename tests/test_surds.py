@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pdmkeo.surds import Surd, exact
+from pdmkeo.surds import Surd, _split_square, exact
 
 
 def test_sqrt_normalizes_square_factors():
@@ -13,6 +13,35 @@ def test_sqrt_normalizes_square_factors():
     assert Surd.sqrt(F(1, 32)) == Surd(0, F(1, 8), 2)
     assert Surd.sqrt(0) == 0
     assert Surd.sqrt(49) == 7
+
+
+def test_split_square_matches_trial_division_by_every_square():
+    def reference(n):
+        s, d, i = 1, n, 2
+        while i * i <= d:
+            if d % (i * i) == 0:
+                s, d = s * i, d // (i * i)
+            else:
+                i += 1
+        return s, d
+
+    cases = list(range(1, 3000)) + [1000003**2, 1000003**2 * 6, 999983 * 1000003,
+                                    65537**3, 2**62, 3**39]
+    for n in cases:
+        assert _split_square(n) == reference(n)
+    # beyond the reference's reach: a squarefree prime, and a prime squared
+    assert _split_square(2**61 - 1) == (1, 2**61 - 1)
+    assert _split_square((2**31 - 1) ** 2) == (2**31 - 1, 1)
+
+
+def test_sqrt_beyond_the_factoring_cap_is_refused():
+    # 10^20 + 39 has no prime factor below 2^21 and is above 2^63
+    with pytest.raises(ValueError, match="exact square root out of reach"):
+        Surd.sqrt(F(1, 10**20 + 39))
+    # a square is within reach at any size, its root found by isqrt
+    assert Surd.sqrt(F(1, 1000000007**2)) == F(1, 1000000007)
+    assert Surd.sqrt(F(4 * (10**20 + 39) ** 2, 9)) == F(2 * (10**20 + 39), 3)
+    assert Surd.sqrt(F(3 * (10**20 + 39) ** 2)) == Surd(0, 10**20 + 39, 3)
 
 
 def test_sqrt_of_negative_rejected():
