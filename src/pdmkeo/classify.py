@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -233,8 +234,13 @@ def region_samples(resolution: int):
     """Classify a uniform rational grid over xi in [-1/2, 0], zeta in [0, 1/4].
 
     Returns (xi, zeta, labels) triples for the grid points inside the
-    allowed region, in row-major (xi outer, zeta inner) order.
+    allowed region, in row-major (xi outer, zeta inner) order. A resolution
+    that is not an integer >= 2 is a ValueError.
     """
+    try:
+        resolution = operator.index(resolution)
+    except TypeError:
+        raise ValueError(f"need an integer resolution, got resolution = {resolution!r}") from None
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     steps = resolution - 1

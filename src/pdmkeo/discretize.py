@@ -19,14 +19,15 @@ Both pathways use the staggered scheme: the kinetic core d/dx b d/dx is
 the three-point divergence stencil `_core_diagonals` with b sampled at
 the n + 1 midpoints, so the operator is tridiagonal and free of odd-even
 decoupling, and its spectra converge to the continuum levels at O(h^2).
-It is assembled, added and applied as its diagonals in O(n). The terms
-path adds each term into the three diagonals, entry by entry in the dense
-product's order, and evaluates m^s once per distinct exponent of the
-ordering: once per exponent at the grid points for the outer factors, and
-once per core exponent at the midpoints. The linear path writes the core
-and the effective potential, and the first-order term, whose central
-difference also sits at offsets +-1, when eta != 0. An ordering with
-eta = 0 assembles to an exactly symmetric operator.
+Every operator is stored as its three nonzero diagonals, at offsets +l,
+0 and -l (l = 1 here), and assembled, added and applied as them in O(n).
+The terms path adds each term into the three diagonals, entry by entry
+in the dense product's order, and evaluates m^s once per distinct
+exponent of the ordering: once per exponent at the grid points for the
+outer factors, and once per core exponent at the midpoints. The linear
+path writes the core and the effective potential, and the first-order
+term, whose central difference also sits at offsets +-1, when eta != 0.
+An ordering with eta = 0 assembles to an exactly symmetric operator.
 `AssembledOperator.matrix` is the one dense form, built on demand for
 export and for tests.
 
@@ -38,14 +39,14 @@ assembles with no floating-point warning. The finiteness check of
 `AssembledOperator` is the one gate: an operator whose entries, or a
 mass power m^s itself, overflow is refused.
 
-`assemble_terms` alone also takes scheme='central', the pentadiagonal
-D diag(m^b) D composition (the same stencil on the even and on the odd
-grid points with spacing 2h, b at the grid points between them). Its
-spectra are those of two boxes with Neumann-type ends, not of the
-Dirichlet problem, so nothing in the package picks it; it is kept, with
-`SCHEMES`, `_HALF_BANDWIDTH` and the stencil's stride, only because the
-benchmark's `spectra` workload assembles it, and goes when that workload
-stops doing so.
+`assemble_terms` alone also takes scheme='central', the
+D diag(m^b) D composition: the same stencil on the even and on the odd
+grid points with spacing 2h, b at the grid points between them, so its
+three diagonals have stride l = 2. Its spectra are those of two boxes
+with Neumann-type ends, not of the Dirichlet problem, so nothing in the
+package picks it; it is kept, with `SCHEMES` and the stencil's stride,
+only because the benchmark's `spectra` workload assembles it, and goes
+when that workload stops doing so.
 
 Each pathway is a public wrapper, which checks hbar, samples the profile
 and records the provenance, around a private function that takes the
@@ -62,6 +63,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -72,10 +74,6 @@ from .profiles import MassProfile
 
 # the schemes `assemble_terms` takes; central only for the benchmark (see above)
 SCHEMES = ("central", "staggered")
-# half-bandwidth of each scheme's operator, the stride of its three-point
-# stencil: D diag(b) D couples grid points two apart, the staggered form
-# neighbours
-_HALF_BANDWIDTH = {"central": 2, "staggered": 1}
 
 
 @dataclass(frozen=True)
@@ -125,28 +123,33 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class AssembledOperator:
-    """A kinetic (or full) operator stored by its diagonals.
+    """A kinetic (or full) operator stored by its three nonzero diagonals.
 
     `bands` is real (float64) for every ordering, eta != 0 included: in
     position representation m^a p m^b p m^c and the first-order term
     eta (i hbar/2)(1/m)' p = eta (hbar^2/2)(1/m)' d/dx are real
-    operators. It is scipy's banded layout: shape (2l+1, n) with
-    `bands[l + i - j, j] == A[i, j]`, where the half-bandwidth l is 1 for
-    the staggered scheme (tridiagonal) and 2 for the central one that
-    `assemble_terms` also takes (pentadiagonal). The cells of `bands` that
-    fall outside the n x n matrix stand for the entries outside the band:
-    every operation treats them like any other entry, so they hold the
-    signed zero that dense arithmetic leaves there, and `matrix` writes
-    that value off the band.
-    Every entry is finite: an overflowing operator is a ValueError.
+    operators. It has shape (3, n): rows 0, 1 and 2 hold the diagonals at
+    offsets +l, 0 and -l for the stride l = `bandwidth`,
+    `bands[0, j] == A[j - l, j]` and `bands[2, j] == A[j + l, j]`, and
+    every other entry of A is zero. l is 1 for the staggered scheme
+    (tridiagonal) and 2 for the central one that `assemble_terms` also
+    takes. The cells of rows 0 and 2 outside the matrix hold the signed
+    zero that dense arithmetic leaves off the band, and `matrix` writes
+    that value there. Another shape, an l that is not an integer in 1 .. n - 1 or an
+    entry that is not finite is a ValueError.
     """
 
     bands: np.ndarray
     grid: Grid
     hbar: float
     provenance: dict = field(default_factory=dict)
+    bandwidth: int = 1
 
     def __post_init__(self):
+        n, l = self.grid.n, self.bandwidth
+        if np.shape(self.bands) != (3, n) or not (isinstance(l, Integral) and 1 <= l < n):
+            raise ValueError(f"need bands of shape (3, n) and an integer bandwidth 1 <= l < n "
+                             f"for n = {n}, got shape {np.shape(self.bands)} and l = {l!r}")
         # hbar^2/h^2 * m^s can overflow though hbar and the grid pass their checks
         if not np.isfinite(self.bands).all():
             raise ValueError(
@@ -154,36 +157,32 @@ class AssembledOperator:
             )
 
     @property
-    def bandwidth(self) -> int:
-        """Half-bandwidth l: A[i, j] == 0 whenever |i - j| > l."""
-        return (self.bands.shape[0] - 1) // 2
-
-    @property
     def matrix(self) -> np.ndarray:
         """The dense n x n matrix, built on each access (the export form)."""
-        return _dense(self.bands)
+        return _dense(self.bands, self.bandwidth)
 
     def applied_to(self, psi: np.ndarray) -> np.ndarray:
         """Banded matrix-vector product A @ psi for psi of shape (n,), and A
         applied to each row of psi of shape (m, n)."""
-        psi = np.asarray(psi)
-        half, n = self.bandwidth, self.grid.n
-        out = np.zeros(psi.shape, dtype=np.result_type(self.bands, psi))
-        for r in range(2 * half + 1):
-            k = half - r  # column minus row on this diagonal
-            lo, hi = max(0, -k), min(n, n - k)
-            out[..., lo:hi] += self.bands[r, lo + k:hi + k] * psi[..., lo + k:hi + k]
-        return out
+        return _apply(self.bands, np.asarray(psi), self.bandwidth)
 
 
-def _dense(bands: np.ndarray) -> np.ndarray:
-    width, n = bands.shape
-    half = width // 2
-    dense = np.full((n, n), bands[0, 0])
-    for r in range(width):
-        k = half - r
-        i = np.arange(max(0, -k), min(n, n - k))
-        dense[i, i + k] = bands[r, i + k]
+def _apply(bands: np.ndarray, x: np.ndarray, l: int) -> np.ndarray:
+    """The three-row `bands` of stride l times x along x's last axis, as
+    (d x + u x) + w x for the rows u, d and w."""
+    upper, diagonal, lower = bands
+    out = diagonal * x
+    out[..., :-l] += upper[l:] * x[..., l:]
+    out[..., l:] += lower[:-l] * x[..., :-l]
+    return out
+
+
+def _dense(bands: np.ndarray, l: int) -> np.ndarray:
+    i = np.arange(bands.shape[1])
+    dense = np.full((i.size, i.size), bands[0, 0])
+    dense[i[:-l], i[l:]] = bands[0, l:]
+    dense[i, i] = bands[1]
+    dense[i[l:], i[:-l]] = bands[2, :-l]
     return dense
 
 
@@ -193,7 +192,7 @@ def derivative_matrix(grid: Grid) -> np.ndarray:
     bands = np.zeros((3, grid.n))
     bands[0, 1:] = 1.0 / (2 * grid.h)
     bands[2, :-1] = -1.0 / (2 * grid.h)
-    return _dense(bands)
+    return _dense(bands, 1)
 
 
 def _sample(profile: MassProfile, grid: Grid, derivatives: bool = False) -> tuple:
@@ -292,10 +291,11 @@ def _terms_operator(
     """`assemble_terms` from checked samples of 1/m at the grid points (u)
     and at the core stencil's points (u_core): the midpoints, or the grid
     points again under the central scheme."""
-    half = _HALF_BANDWIDTH[scheme]
-    total = np.zeros((2 * half + 1, grid.n))
-    # the three diagonals a term reaches; every other cell stays +0.0
-    diag, upper, lower = total[half], total[0, half:], total[2 * half, :-half]
+    # the stencil's stride: D diag(b) D couples grid points two apart
+    half = 2 if scheme == "central" else 1
+    total = np.zeros((3, grid.n))
+    # the three diagonals a term reaches; the cells outside the matrix stay +0.0
+    diag, upper, lower = total[1], total[0, half:], total[2, :-half]
     # m^s at the grid points and core stencils, each once per distinct exponent
     powers, cores = {}, {}
     for i, t in enumerate(spec.terms):
@@ -317,12 +317,11 @@ def _terms_operator(
     if is_hermitian(spec):
         # Hermitian in the continuum, so made exactly symmetric: (A + A^T)/2.
         # A[i, j] and A[j, i] differ by rounding for mirrored terms, and by
-        # O(h^3) relative to max|A| for orderings that are not mirrored. The
-        # stencil's stride leaves nonzero entries only at offsets 0 and +-half
-        mean = bands[0, half:] + bands[2 * half, :-half]
+        # O(h^3) relative to max|A| for orderings that are not mirrored
+        mean = bands[0, half:] + bands[2, :-half]
         mean /= 2
-        bands[0, half:] = bands[2 * half, :-half] = mean
-    return AssembledOperator(bands, grid, float(hbar), provenance)
+        bands[0, half:] = bands[2, :-half] = mean
+    return AssembledOperator(bands, grid, float(hbar), provenance, bandwidth=half)
 
 
 def effective_potential(

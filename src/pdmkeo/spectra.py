@@ -9,22 +9,23 @@ one to within 2^-40 of the scaled H's largest entry (LAPACK's default
 bisects to rounding), inverse iteration (`?stein`) from the bracket
 returns its eigenvector, held as a row, and the eigenvalue reported is
 that vector's Rayleigh quotient, which is exact to rounding plus the
-squared residual over the gap to the next level. Two levels of one LAPACK
-block within 2^10 brackets of each other, from which inverse iteration
-can return one vector twice, send H to bisection to rounding instead. It
-also splits the pentadiagonal central H, whose +-1 diagonals are zero,
-into its even and odd tridiagonal blocks (the slices p::2) laid end to
-end; that split is kept only because the benchmark's `spectra` workload
-still solves central operators, and goes with them. The calls see H
-scaled by a power of two, and `solve` finishes in those coordinates:
-H x, the quotients and the residual norms are taken on the scaled
-blocks, so that entries near the float limit, and subnormal ones, solve
-too, and only the k eigenvalues and norms are scaled back. The
-provenance records the bracket width and the largest residual relative
-to max|H|. Every eta = 0 ordering assembles exactly symmetric and solves,
-mirrored or not; an eta != 0 operator is refused as NotSymmetric.
-Dual-pair spectra are computed and reported side by side without
-asserting equality.
+squared residual over the gap to the next level. Two levels of one
+LAPACK block within 2^10 brackets of each other, from which inverse
+iteration can return one vector twice, send H to bisection to rounding
+instead. H is stored as its three nonzero diagonals, at offsets +l, 0
+and -l, so it is l tridiagonal blocks on the grid points p, p + l,
+p + 2l, ...: one for the staggered scheme, and the even and odd blocks
+(the slices p::2), laid end to end, for the central operators that the
+benchmark's `spectra` workload still solves. The calls see H scaled by a
+power of two, and `solve` finishes in those coordinates: H x (`_apply`,
+the product of `AssembledOperator.applied_to`), the quotients and the
+residual norms are taken on the scaled blocks, so that entries near the
+float limit, and subnormal ones, solve too, and only the k eigenvalues
+and norms are scaled back. The provenance records the bracket width and
+the largest residual relative to max|H|. Every eta = 0 ordering
+assembles exactly symmetric and solves, mirrored or not; an eta != 0
+operator is refused as NotSymmetric. Dual-pair spectra are computed and
+reported side by side without asserting equality.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .classify import DualityParams, from_duality, invert
-from .discretize import AssembledOperator, Grid, assemble_terms
+from .discretize import AssembledOperator, Grid, _apply, assemble_terms
 from .errors import KeoError, NotSymmetric
 from .profiles import MassProfile, _from_spec_text
 
@@ -112,23 +113,15 @@ def hamiltonian(keo: AssembledOperator, potential: PotentialProfile) -> Assemble
     # T + diag(V) cell by cell: adding 0.0 off the diagonal turns T's -0.0
     # into the +0.0 that the dense sum leaves there
     bands = keo.bands + 0.0
-    bands[keo.bandwidth] = keo.bands[keo.bandwidth] + v
+    bands[1] = keo.bands[1] + v
     prov = dict(keo.provenance)
     prov["potential"] = potential.name
-    return AssembledOperator(bands, keo.grid, keo.hbar, prov)
+    return AssembledOperator(bands, keo.grid, keo.hbar, prov, bandwidth=keo.bandwidth)
 
 
 # the absolute width to which bisection brackets each eigenvalue of the
 # scaled H, whose largest entry lies in [1/2, 1)
 _BRACKET = 2.0**-40
-
-
-def _max_asymmetry(bands: np.ndarray) -> float:
-    """max |A[i, j] - A[j, i]| over the band off the main diagonal; entries
-    off the band are zero."""
-    half, n = (bands.shape[0] - 1) // 2, bands.shape[1]
-    return max([float(np.abs(bands[half - k, k:] - bands[half + k, :n - k]).max())
-                for k in range(1, half + 1)], default=0.0)
 
 
 def _eigenvectors(d: np.ndarray, e: np.ndarray, k: int, bracket: float):
@@ -162,53 +155,53 @@ def _eigenvectors(d: np.ndarray, e: np.ndarray, k: int, bracket: float):
     raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info})")
 
 
-def solve(h: AssembledOperator, k: int) -> SpectrumResult:
-    """Lowest k eigenvalues of a symmetric banded operator.
-
-    With half-bandwidth l, H must have zero diagonals at offsets 1 .. l-1
-    (read in the lower triangle), so that it splits into l tridiagonal
-    blocks, block p on the grid points p, p + l, p + 2l, ... (one block for
-    the staggered scheme, two for the central one, which only the benchmark
-    assembles). Gathered with the slices p::l, laid end to end and scaled
-    by the power of two that brings max|H| into [1/2, 1), the blocks are
-    solved together in O(n k): bisection (`?stebz`) brackets the k lowest
-    eigenvalues to within 2^-40 of the scaled max|H|, and inverse iteration
-    (`?stein`) from each bracket returns a unit eigenvector x, held as a
-    row. In the same coordinates each eigenvalue is the Rayleigh quotient
-    e = (x.Hx)/(x.x), accurate to rounding plus ||Hx - ex||^2 / gap, and
-    the residual ||Hx - ex|| is taken on the blocks; only these k pairs are
-    scaled back. Where two levels of one LAPACK block lie within 2^10
-    brackets of each other, or inverse iteration fails from the bracket (a
-    block of small norm that LAPACK splits off can make it), H is bisected
-    to rounding instead; so only levels of different blocks closer than the
-    bracket are each within it of the true one."""
-    n = h.grid.n
+def _check_k(k, n: int) -> int:
+    """k as an int; one that is not an integer in 1 .. n is a KeoError."""
     try:
         k = operator.index(k)
     except TypeError:
         raise KeoError(f"need an integer k, got k = {k!r}") from None
     if not 1 <= k <= n:
         raise KeoError(f"need 1 <= k <= n = {n}, got k = {k}")
-    bands, half = h.bands, h.bandwidth
+    return k
+
+
+def solve(h: AssembledOperator, k: int) -> SpectrumResult:
+    """Lowest k eigenvalues of a symmetric banded operator.
+
+    H is its three nonzero diagonals, at offsets +l, 0 and -l for its stride
+    l, so it splits into l tridiagonal blocks, block p on the grid points p,
+    p + l, p + 2l, ... (one block for the staggered scheme, two for the
+    central one, which only the benchmark assembles). Gathered with the
+    slices p::l, laid end to end and scaled by the power of two that brings
+    max|H| into [1/2, 1), the blocks are solved together in O(n k):
+    bisection (`?stebz`) brackets the k lowest eigenvalues to within 2^-40
+    of the scaled max|H|, and inverse iteration (`?stein`) from each bracket
+    returns a unit eigenvector x, held as a row. In the same coordinates
+    each eigenvalue is the Rayleigh quotient e = (x.Hx)/(x.x), accurate to
+    rounding plus ||Hx - ex||^2 / gap, and the residual ||Hx - ex|| is taken
+    on the blocks; only these k pairs are scaled back. Where two levels of
+    one LAPACK block lie within 2^10 brackets of each other, or inverse
+    iteration fails from the bracket (a block of small norm that LAPACK
+    splits off can make it), H is bisected to rounding instead; so only
+    levels of different blocks closer than the bracket are each within it of
+    the true one."""
+    k = _check_k(k, h.grid.n)
+    bands, l = h.bands, h.bandwidth
     scale = float(np.abs(bands).max()) or 1.0
-    asym = _max_asymmetry(bands)
+    # max |H[i, j] - H[j, i]|, over the diagonals at +-l: H is zero off them
+    asym = float(np.abs(bands[0, l:] - bands[2, :-l]).max())
     if asym > 1e-10 * scale:
         raise NotSymmetric(asym)
-    if half == 0 or bands[half + 1:2 * half, :-1].any():
-        raise KeoError(f"operator of half-bandwidth {half} does not split into "
-                       f"stride-{half} tridiagonal blocks")
     # bisection squares the off-diagonals, so all below works on H scaled to
     # max|H| = unit in [1/2, 1): entries near 1e154 would overflow, and a
     # subnormal H would have no precision. The scaling is exact for every
-    # entry that stays a normal float. Rows 0, l and 2l hold each block's
-    # upper, main and lower diagonal; laid end to end, the upper cell before
-    # and the lower cell after each block lie outside the matrix and hold
-    # zero, so LAPACK splits there
+    # entry that stays a normal float. Laid end to end, the blocks' rows are
+    # one stride-1 operator: the upper cell before and the lower cell after
+    # each block lie outside the matrix and hold zero, so LAPACK splits there
     unit, shift = math.frexp(scale)
-    rows = bands[::half]
-    if half > 1:
-        rows = np.concatenate([rows[:, p::half] for p in range(half)], axis=1)
-    upper, diagonal, lower = np.ldexp(rows, -shift)
+    rows = np.ldexp(np.concatenate([bands[:, p::l] for p in range(l)], axis=1), -shift)
+    _, diagonal, lower = rows
     # the bracket only has to pick out the eigenvalue that inverse iteration
     # converges to; the Rayleigh quotient below fixes its value
     bracket = _BRACKET
@@ -221,10 +214,7 @@ def solve(h: AssembledOperator, k: int) -> SpectrumResult:
         # kinetic coupling can
         bracket = 0.0
         x = _eigenvectors(diagonal, lower[:-1], k, bracket)
-    # (d x + u x) + l x, the sums of `applied_to`: each entry rounds alike
-    hx = diagonal * x
-    hx[:, :-1] += upper[1:] * x[:, 1:]
-    hx[:, 1:] += lower[:-1] * x[:, :-1]
+    hx = _apply(rows, x, 1)
     # summed along each row elementwise, not as a BLAS product, whose
     # rounding can depend on its thread count
     values = (x * hx).sum(axis=1) / (x * x).sum(axis=1)
@@ -245,7 +235,8 @@ def spectrum_of_spec(
     spec, profile: MassProfile, potential: PotentialProfile, grid: Grid,
     k: int, hbar: float = 1.0,
 ) -> SpectrumResult:
-    """Assemble T from an ordering (staggered), add V, and solve."""
+    """Check k, assemble T from an ordering (staggered), add V, and solve."""
+    _check_k(k, grid.n)
     keo = assemble_terms(spec, profile, grid, hbar=hbar)
     return solve(hamiltonian(keo, potential), k)
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from classify_reference import reference_classify
 
@@ -227,6 +228,13 @@ def test_region_samples_agree_with_classify(resolution):
 def test_region_samples_rejects_small_resolution():
     with pytest.raises(ValueError):
         region_samples(1)
+
+
+def test_region_samples_refuses_a_resolution_that_is_not_an_integer():
+    for resolution in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="need an integer resolution"):
+            region_samples(resolution)
+    assert region_samples(np.int64(5)) == region_samples(5)
 
 
 def test_region_coverage_at_moderate_resolution():

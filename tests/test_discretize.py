@@ -6,6 +6,7 @@ import pytest
 from fractions import Fraction as F
 
 from pdmkeo.discretize import (
+    AssembledOperator,
     Grid,
     assemble_linear,
     assemble_terms,
@@ -57,6 +58,21 @@ def test_grid_refuses_a_count_that_is_not_an_integer():
         with pytest.raises(ValueError, match="need an integer n"):
             Grid(0.0, 1.0, n)
     assert Grid(0.0, 1.0, np.int64(5)).points.size == 5
+
+
+def test_operator_refuses_bands_that_are_not_three_diagonals():
+    g = Grid(0.0, 1.0, 6)
+    cases = [(np.zeros((5, 6)), 1), (np.zeros((2, 6)), 1), (np.zeros((3, 5)), 1),
+             (np.zeros((3, 7)), 1), (np.zeros((3, 6)), 0), (np.zeros((3, 6)), 6),
+             (np.zeros((3, 6)), 2.5)]
+    for bands, l in cases:
+        with pytest.raises(ValueError) as exc:
+            AssembledOperator(bands, g, 1.0, bandwidth=l)
+        assert str(exc.value) == (
+            "need bands of shape (3, n) and an integer bandwidth 1 <= l < n for n = 6, "
+            f"got shape {bands.shape} and l = {l!r}")
+    for l in (1, 5, np.int64(2)):
+        assert AssembledOperator(np.zeros((3, 6)), g, 1.0, bandwidth=l).matrix.shape == (6, 6)
 
 
 def test_derivative_matrix_small():

@@ -219,6 +219,24 @@ def test_bdd_vs_zk_differ_beyond_discretization_error():
     assert abs(e_bdd[1] - e_zk[1]) > 10 * discretization
 
 
+def test_spectrum_and_dual_pair_check_k_before_assembling(monkeypatch):
+    import pdmkeo.spectra
+
+    def assemble(*args, **kwargs):
+        raise AssertionError("assembled before k was checked")
+
+    monkeypatch.setattr(pdmkeo.spectra, "assemble_terms", assemble)
+    prof, g = lorentzian(m0=1, lam=1), Grid(-1, 1, 10)
+    for k, message in ((0, "need 1 <= k <= n = 10, got k = 0"),
+                       (11, "need 1 <= k <= n = 10, got k = 11"),
+                       (2.5, "need an integer k, got k = 2.5")):
+        for run in (lambda: spectrum_of_spec(catalog("YY"), prof, harmonic(), g, k),
+                    lambda: dual_pair_report(F(-1, 4), F(1, 16), prof, harmonic(), g, k)):
+            with pytest.raises(KeoError) as exc:
+                run()
+            assert str(exc.value) == message
+
+
 def test_dual_pair_theta_zero_is_self_dual():
     prof = lorentzian(m0=1, lam=1)
     rep = dual_pair_report(F(-1, 4), 0, prof, zero_potential(), Grid(-1, 1, 80), 3)
@@ -542,20 +560,6 @@ def test_small_grids_and_single_point_blocks(n, scheme):
     expected = scipy.linalg.eigh(h.matrix, eigvals_only=True)
     assert np.max(np.abs(np.array(res.eigenvalues) - expected)) <= 1e-12 * scale
     assert all(np.isfinite(r) and r <= 1e-9 * scale for r in res.residuals)
-
-
-def test_solve_refuses_operators_that_do_not_split():
-    g = Grid(-1.0, 1.0, 8)
-    keo = assemble_terms(catalog("YY"), lorentzian(m0=1, lam=1), g, scheme="central")
-    # symmetric, but with nonzero +-1 diagonals next to the +-2 ones
-    bands = keo.bands.copy()
-    bands[1, 1:] = bands[3, :-1] = 0.25
-    coupled = AssembledOperator(bands, g, 1.0)
-    assert np.array_equal(coupled.matrix, coupled.matrix.T)
-    diagonal = AssembledOperator(np.ones((1, g.n)), g, 1.0)
-    for op in (coupled, diagonal):
-        with pytest.raises(KeoError, match="does not split"):
-            solve(op, 2)
 
 
 def test_no_dense_matrix_outside_the_export():
