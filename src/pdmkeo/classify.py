@@ -12,9 +12,13 @@ Shared boundary curves get named flags. The region, the classes and the
 curves are each stated once, as exact integer tests of the point scaled
 to (x/d, z/d) over an even denominator d (`_outside`, `_tests`). Each
 class can be inverted back to a concrete two-term ordering that
-reproduces (xi, zeta) exactly. The theta = zeta - xi^2 coordinate
-exposes a duality that reflects vR points onto class-I points with the
-same {alpha, gamma}.
+reproduces (xi, zeta) exactly, in one of two shapes. For every Hermitian
+ordering theta = zeta - xi^2 is the weighted covariance Cov_w(alpha,
+gamma), so vR and I both use the exponents xi +- sqrt|theta|, as a
+mirrored pair (theta <= 0) or as two symmetric terms (theta >= 0); II and
+III mix one symmetric term with a fixed one, p(1/m)p or ZK. The
+reflection theta -> -theta is thus a duality that maps vR points onto
+class-I points with the same {alpha, gamma}.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .errors import (
     OutsideAllowedRegion,
 )
 from .ordering import BuildingBlock, OrderingSpec
-from .surds import Surd, exact
+from .surds import Surd, exact, float_sqrt, rational
 
 REGIONS = ("vR", "I", "II", "III")
 
@@ -71,15 +75,8 @@ class DualityParams:
     theta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", Fraction(self.xi))
-        object.__setattr__(self, "theta", Fraction(self.theta))
-
-
-def _rat(x) -> Fraction:
-    value = exact(x)
-    if isinstance(value, Surd):
-        value = value.as_fraction()
-    return value
+        object.__setattr__(self, "xi", rational(self.xi))
+        object.__setattr__(self, "theta", rational(self.theta))
 
 
 def _scaled(xi: Fraction, zeta: Fraction) -> tuple[int, int, int]:
@@ -124,7 +121,7 @@ def _labels(tests: tuple[bool, ...]) -> tuple[ClassLabel, ...]:
 
 def in_allowed_region(xi, zeta) -> bool:
     """Exact test of 1/4 >= -xi/2 >= zeta >= 0."""
-    return _outside(*_scaled(_rat(xi), _rat(zeta))) is None
+    return _outside(*_scaled(rational(xi), rational(zeta))) is None
 
 
 def _require_allowed(xi: Fraction, zeta: Fraction) -> tuple[int, int, int]:
@@ -142,29 +139,38 @@ def classify(xi, zeta) -> set[ClassLabel]:
     Regions overlap, so boundary points belong to every adjacent class;
     each label carries the boundary flags incident to its own region.
     """
-    return set(_labels(_tests(*_require_allowed(_rat(xi), _rat(zeta)))))
+    return set(_labels(_tests(*_require_allowed(rational(xi), rational(zeta)))))
 
 
 def _symmetric_term(w, a) -> BuildingBlock:
     return BuildingBlock(w, a, -1 - 2 * a, a)
 
 
-def _maybe_float(value, float_mode: bool):
-    # float mode hands back the numeric value as an exact binary fraction,
-    # so downstream invariants still hold bit-for-bit
-    if float_mode and isinstance(value, Surd):
-        return Fraction(float(value))
-    return value
+def _root(r: Fraction, float_mode: bool):
+    """sqrt(r) as an exact Surd, or in float mode its float as a binary
+    Fraction (so downstream invariants hold bit for bit), rounded from
+    integers where the exact root is out of reach."""
+    try:
+        s = Surd.sqrt(r)
+    except ValueError:
+        if not float_mode:
+            raise
+        return float_sqrt(r)
+    return Fraction(float(s)) if float_mode else s
 
 
 def invert(xi, zeta, region: str, float_mode: bool = False) -> OrderingSpec:
     """Construct the two-term ordering of the requested class at (xi, zeta).
 
-    Square roots are returned as exact surds; with float_mode=True they are
-    evaluated numerically instead. Round trip: linear_params(invert(x, z, c))
-    equals (x, z, 0) exactly in surd mode.
+    With theta = zeta - xi^2 = Cov_w(alpha, gamma), vR and I place the
+    exponents xi +- sqrt|theta| two ways: as a mirrored pair (vR, theta <= 0)
+    or as two symmetric terms of weight 1/2 (I, theta >= 0). II and III mix
+    one symmetric term (w, a) with a fixed one f: BDD (f = 0) for II, ZK
+    (f = -1/2) for III. Square roots are returned as exact surds; with
+    float_mode=True they are evaluated numerically instead. Round trip:
+    linear_params(invert(x, z, c)) equals (x, z, 0) exactly in surd mode.
     """
-    xi, zeta = _rat(xi), _rat(zeta)
+    xi, zeta = rational(xi), rational(zeta)
     if region not in REGIONS:
         raise ConstraintUnsatisfied(f"unknown class {region!r}; expected one of {REGIONS}")
     if not _tests(*_require_allowed(xi, zeta))[REGIONS.index(region)]:
@@ -174,43 +180,36 @@ def invert(xi, zeta, region: str, float_mode: bool = False) -> OrderingSpec:
     half = Fraction(1, 2)
     name = f"{region}-inverse({xi},{zeta})"
 
-    if region == "vR":
-        s = _maybe_float(Surd.sqrt(xi * xi - zeta), float_mode)
+    if region in ("vR", "I"):
+        s = _root(abs(zeta - xi * xi), float_mode)
         alpha, gamma = exact(xi + s), exact(xi - s)
-        beta = -1 - alpha - gamma
-        terms = (
-            BuildingBlock(half, alpha, beta, gamma),
-            BuildingBlock(half, gamma, beta, alpha),
-        )
-    elif region == "I":
-        s = _maybe_float(Surd.sqrt(zeta - xi * xi), float_mode)
-        alpha, gamma = exact(xi + s), exact(xi - s)
-        terms = (_symmetric_term(half, alpha), _symmetric_term(half, gamma))
-    # In the allowed region the class II and III tests leave no vanishing
-    # denominator and put the mixed-term weight w in [0, 1/2]: class II at
-    # xi = 0 forces zeta = 0 (zeta <= -xi/2), and elsewhere zeta >= 2 xi^2 > 0;
-    # class III at xi = -1/2 forces zeta = 1/4, and elsewhere
-    # xi + zeta + 1/4 >= 2 (xi + 1/2)^2 > 0.
-    elif region == "II":
-        if xi == 0:
-            terms = (BuildingBlock(1, 0, -1, 0),)  # the (0, 0) corner: plain p(1/m)p
+        if region == "vR":
+            beta = -1 - alpha - gamma
+            terms = (BuildingBlock(half, alpha, beta, gamma), BuildingBlock(half, gamma, beta, alpha))
         else:
-            w = xi * xi / zeta
-            terms = (_symmetric_term(w, zeta / xi), BuildingBlock(1 - w, 0, -1, 0))
-    else:  # III
-        if xi == -half:
-            terms = (_symmetric_term(1, -half),)  # the (-1/2, 1/4) corner: pure ZK form
+            terms = (_symmetric_term(half, alpha), _symmetric_term(half, gamma))
+    else:
+        # w a + (1 - w) f = xi, w a^2 + (1 - w) f^2 = zeta. Both class tests read
+        # zeta >= (xi - f)^2 + xi^2, so a - f = (zeta - 2 f xi + f^2)/(xi - f)
+        # has a numerator >= 2 (xi - f)^2 and w = (xi - f)/(a - f) is in (0, 1/2].
+        # At the corner xi = f the allowed region leaves only zeta = f^2 (II:
+        # zeta <= -xi/2 = 0; III: zeta >= xi^2 = 1/4 = -xi/2): the fixed term.
+        f = Fraction(0) if region == "II" else -half
+        if xi == f:
+            terms = (_symmetric_term(1, f),)
         else:
-            w = (xi + half) ** 2 / (xi + zeta + Fraction(1, 4))
-            alpha = (xi + 2 * zeta) / (2 * xi + 1)
-            terms = (_symmetric_term(w, alpha), _symmetric_term(1 - w, -half))
-
+            a = (zeta - f * f) / (xi - f) - f
+            w = (xi - f) / (a - f)
+            terms = (_symmetric_term(w, a), _symmetric_term(1 - w, f))
     return OrderingSpec(terms, name=name)
 
 
 def to_duality(xi, zeta) -> DualityParams:
-    """Map an allowed (xi, zeta) to duality coordinates (xi, theta = zeta - xi^2)."""
-    xi, zeta = _rat(xi), _rat(zeta)
+    """Map an allowed (xi, zeta) to duality coordinates (xi, theta = zeta - xi^2).
+
+    For a Hermitian ordering theta = <alpha gamma> - <alpha><gamma> =
+    Cov_w(alpha, gamma), since zeta = <alpha gamma> and xi = <gamma> = <alpha>."""
+    xi, zeta = rational(xi), rational(zeta)
     _require_allowed(xi, zeta)
     return DualityParams(xi, zeta - xi * xi)
 

@@ -398,13 +398,15 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p = add_parser("region", cmd_region, help="classified rational grid over the allowed region")
     _option(p, config, "--resolution", type=int, default=51)
 
-    p = add_parser("assemble", cmd_assemble, help="dense finite-difference kinetic matrix")
+    p = add_parser("assemble", cmd_assemble,
+                   help="banded finite-difference kinetic operator, exported as a full matrix")
     _add_spec_source(p, config)
     _option(p, config, "--profile", required=True, help="mass profile, e.g. lorentzian:m0=1,lam=1")
     _option(p, config, "--pathway", choices=("terms", "linear"), default="terms")
     _add_grid(p, config)
 
-    p = add_parser("defect", cmd_defect, help="two-pathway equivalence defect at n and 2n")
+    p = add_parser("defect", cmd_defect,
+                   help="two-pathway equivalence defect at n and 2n + 1 points")
     _add_spec_source(p, config)
     _option(p, config, "--profile", required=True)
     _add_grid(p, config)

@@ -20,7 +20,7 @@ from functools import cached_property, partial
 from fractions import Fraction
 
 from .errors import ConstraintViolation, ParameterDomainError, UnknownOrdering, WeightSumViolation
-from .surds import Surd, exact
+from .surds import Surd, exact, rational
 
 Exact = Fraction | Surd
 
@@ -88,10 +88,7 @@ class LinearParams:
 
     def __post_init__(self):
         for name in ("xi", "zeta", "eta"):
-            value = exact(getattr(self, name))
-            if isinstance(value, Surd):
-                value = value.as_fraction()
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, rational(getattr(self, name)))
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.xi, self.zeta, self.eta)
@@ -165,10 +162,10 @@ def canonicalize(s: OrderingSpec) -> OrderingSpec:
 
 
 def _rat(x) -> Fraction:
-    value = exact(x)
-    if isinstance(value, Surd):
-        raise ParameterDomainError(f"catalog parameters must be rational, got {x}")
-    return value
+    try:
+        return rational(x)
+    except ArithmeticError:
+        raise ParameterDomainError(f"catalog parameters must be rational, got {x}") from None
 
 
 def _catalog_w() -> tuple:

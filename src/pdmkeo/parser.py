@@ -123,26 +123,17 @@ class _Parser:
 
 
 def _normalize_term(index: int, factors) -> tuple[Fraction, Fraction, Fraction]:
-    """Collapse a factor list to (alpha, beta, gamma) around exactly two p's."""
-    runs = []  # alternating mass-exponent runs and 'p'
+    """Sum the mass exponents before, between and after exactly two p's into
+    (alpha, beta, gamma)."""
+    slots = [Fraction(0)]
     for f in factors:
         if f == "p":
-            runs.append("p")
-        elif runs and runs[-1] != "p":
-            runs[-1] = runs[-1] + f
+            slots.append(Fraction(0))
         else:
-            runs.append(f)
-    p_count = runs.count("p")
-    if p_count != 2:
-        raise WrongMomentumCount(index, p_count)
-    slots = [Fraction(0), Fraction(0), Fraction(0)]
-    slot = 0
-    for r in runs:
-        if r == "p":
-            slot += 1
-        else:
-            slots[slot] = r
-    return slots[0], slots[1], slots[2]
+            slots[-1] += f
+    if len(slots) != 3:
+        raise WrongMomentumCount(index, len(slots) - 1)
+    return tuple(slots)
 
 
 def parse(text: str) -> OrderingSpec:

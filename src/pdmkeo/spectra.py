@@ -23,9 +23,11 @@ residual norms are taken on the scaled blocks, so that entries near the
 float limit, and subnormal ones, solve too, and only the k eigenvalues
 and norms are scaled back. The provenance records the bracket width and
 the largest residual relative to max|H|. Every eta = 0 ordering
-assembles exactly symmetric and solves, mirrored or not; an eta != 0
-operator is refused as NotSymmetric. Dual-pair spectra are computed and
-reported side by side without asserting equality.
+assembles exactly symmetric and solves, mirrored or not. `spectrum_of_spec`
+refuses an eta != 0 ordering before assembly, naming the Hermitian one it
+is similar to, and `solve` refuses a non-symmetric operator as
+NotSymmetric. Dual-pair spectra are computed and reported side by side
+without asserting equality.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ import numpy as np
 from .classify import DualityParams, from_duality, invert
 from .discretize import AssembledOperator, Grid, _apply, assemble_terms
 from .errors import KeoError, NotSymmetric
+from .ordering import weighted_mean
 from .profiles import MassProfile, _from_spec_text
+from .surds import rational
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,8 +239,16 @@ def spectrum_of_spec(
     spec, profile: MassProfile, potential: PotentialProfile, grid: Grid,
     k: int, hbar: float = 1.0,
 ) -> SpectrumResult:
-    """Check k, assemble T from an ordering (staggered), add V, and solve."""
+    """Check k and eta, assemble T from an ordering (staggered), add V, and
+    solve. An eta != 0 ordering is refused before assembly: with psi =
+    m^(-eta/2) phi it is similar to the Hermitian (xi - eta/2, zeta + eta^2/4)."""
     _check_k(k, grid.n)
+    xi, zeta = weighted_mean(spec, "gamma"), weighted_mean(spec, "alpha_gamma")
+    eta = xi - weighted_mean(spec, "alpha")
+    if eta != 0:
+        raise KeoError(f"eta = {eta} != 0: the ordering is not Hermitian; psi = m^(-eta/2) phi "
+                       f"makes it the Hermitian (xi, zeta) = ({xi - eta / 2}, "
+                       f"{zeta + eta * eta / 4})")
     keo = assemble_terms(spec, profile, grid, hbar=hbar)
     return solve(hamiltonian(keo, potential), k)
 
@@ -250,7 +262,12 @@ def richardson(coarse: float, fine: float) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class DualPairReport:
-    """Side-by-side spectra of a (xi, theta) dual pair; no equality asserted."""
+    """Side-by-side spectra of a (xi, theta) dual pair; no equality asserted.
+
+    theta = Cov_w(alpha, gamma), so both sides hold the exponents
+    xi +- sqrt|theta|: as a mirrored pair (vR) and as two symmetric terms
+    (class I). `parameter_identity`, the equality of their {alpha, gamma}
+    sets, is therefore True wherever both inversions exist."""
 
     xi: Fraction
     theta: Fraction
@@ -269,16 +286,14 @@ def dual_pair_report(
 ) -> DualPairReport:
     """Solve both members of the theta <-> -theta pair: the side with
     zeta <= xi^2 inverted as a mirrored (vR) ordering, the other as class I."""
-    xi, theta = Fraction(xi), Fraction(theta)
+    xi, theta = rational(xi), rational(theta)
     mag = abs(theta)
     vr_xi, vr_zeta = from_duality(DualityParams(xi, -mag))
     i_xi, i_zeta = from_duality(DualityParams(xi, mag))
     vr_spec = invert(vr_xi, vr_zeta, "vR")
     i_spec = invert(i_xi, i_zeta, "I")
-    vr_ag = frozenset((t.alpha, t.gamma) for t in vr_spec.terms)
-    i_ag = frozenset((t.alpha, t.gamma) for t in i_spec.terms)
-    vr_set = frozenset(v for pair in vr_ag for v in pair)
-    i_set = frozenset(v for pair in i_ag for v in pair)
+    vr_set = frozenset(v for t in vr_spec.terms for v in (t.alpha, t.gamma))
+    i_set = frozenset(v for t in i_spec.terms for v in (t.alpha, t.gamma))
     return DualPairReport(
         xi=xi,
         theta=theta,

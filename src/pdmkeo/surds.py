@@ -252,3 +252,25 @@ def exact(x) -> Fraction | Surd:
     if isinstance(x, Surd):
         return x.as_fraction() if x.is_rational else x
     return _as_fraction(x)
+
+
+def rational(x) -> Fraction:
+    """`exact(x)` for a value that must be rational: an irrational one is an
+    ArithmeticError."""
+    return x.as_fraction() if isinstance(x, Surd) else _as_fraction(x)
+
+
+def float_sqrt(r: Fraction) -> Fraction:
+    """The float nearest sqrt(r), for a positive rational r, as a binary
+    Fraction, found without factoring. With p/q = r * 4^k >= 2^108, the
+    integer root m = isqrt(p // q) has at least 55 bits, so every rounding
+    boundary of m / 2^k is an even m; an inexact root sets m's last bit
+    (sticky), which leaves it on the same side of each boundary as the true
+    root, and int / int rounds correctly (subnormals too)."""
+    k = (110 + r.denominator.bit_length() - r.numerator.bit_length()) // 2
+    p, q = r.numerator << max(2 * k, 0), r.denominator << max(-2 * k, 0)
+    t, rest = divmod(p, q)
+    m = math.isqrt(t)
+    if rest or m * m != t:
+        m |= 1
+    return Fraction(float(m * Fraction(2) ** -k))

@@ -138,6 +138,14 @@ def test_invert_float_mode_close():
     assert float(lp.xi) == pytest.approx(-0.25, rel=1e-12)
 
 
+def test_float_invert_beyond_the_factoring_cap_rounds_the_root():
+    xi, zeta = F(-1, 1000000007), F(1, 10**20 + 39)
+    s = invert(xi, zeta, "vR", float_mode=True)
+    # the exponents are xi +- the float nearest sqrt(xi^2 - zeta)
+    assert s.terms[0].alpha - xi == xi - s.terms[0].gamma == F(9.949874300713553e-10)
+    assert [(t.alpha, t.gamma) for t in s.terms][::-1] == [(t.gamma, t.alpha) for t in s.terms]
+
+
 def test_invert_class_ii_origin_returns_single_term():
     s = invert(0, 0, "II")
     assert [(t.w, t.alpha, t.beta, t.gamma) for t in s.terms] == [(1, 0, -1, 0)]

@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).parent / "golden" / "table1.json"
+# stdout, stderr and exit code of `invert` (every class, exact and --float),
+# `dual` and `classify` on corners, boundary curves, surd points and refusals
+EXACT_GOLDEN = Path(__file__).parent / "golden" / "exact_cli.json"
 
 
 def run_cli(*args, **kwargs):
@@ -85,14 +88,30 @@ def test_invert_surd_and_float_modes():
     assert abs(float(doc["terms"][0]["alpha"]) - (-0.25 + 2**0.5 / 8)) < 1e-15
 
 
+def test_exact_algebra_commands_match_golden_byte_for_byte(capsys):
+    from pdmkeo import cli
+
+    for case in json.loads(EXACT_GOLDEN.read_text()):
+        code = cli.main(case["argv"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            case["exit"], case["stdout"], case["stderr"]), case["argv"]
+
+
 def test_invert_with_a_radicand_beyond_the_factoring_cap_is_a_prompt_domain_error():
     argv = ["invert", "--xi", "-1/1000000007", "--zeta", "1/100000000000000000039",
             "--class", "vR"]
-    for extra in ([], ["--float"]):
-        cp = run_cli(*argv, *extra, timeout=30)
-        assert cp.returncode == 1 and cp.stdout == ""
-        assert cp.stderr.startswith("error: exact square root out of reach: ")
-        assert cp.stderr.count("\n") == 1
+    cp = run_cli(*argv, timeout=30)
+    assert cp.returncode == 1 and cp.stdout == ""
+    assert cp.stderr.startswith("error: exact square root out of reach: ")
+    assert cp.stderr.count("\n") == 1
+    # float mode needs no factoring: it rounds the root from integers
+    cp = run_cli(*argv, "--float", timeout=30)
+    assert cp.returncode == 0 and cp.stderr == ""
+    terms = json.loads(cp.stdout)["terms"]
+    values = [float(t[key]) for t in terms for key in ("w", "alpha", "beta", "gamma")]
+    assert all(math.isfinite(v) for v in values)
+    assert terms[0]["alpha"] == terms[1]["gamma"] != terms[0]["gamma"]
     # a square factor far above the trial bound's cube root is still found
     cp = run_cli("invert", "--xi", "-1/1000003", "--zeta", "0", "--class", "vR", timeout=30)
     assert cp.returncode == 0
@@ -453,7 +472,8 @@ def test_spectrum_refuses_first_order_orderings():
     cp = run_cli("spectrum", "--expr", "1/2 * m^(-1) p p", "--profile", "lorentzian")
     assert cp.returncode == 1
     assert cp.stdout == ""
-    assert cp.stderr == "error: matrix is not symmetric (max |A - A^T| = 2.490e+02)\n"
+    assert cp.stderr == ("error: eta = 1 != 0: the ordering is not Hermitian; psi = m^(-eta/2) phi "
+                         "makes it the Hermitian (xi, zeta) = (-1/2, 1/4)\n")
 
 
 def test_parse_error_diagnostic_includes_position():

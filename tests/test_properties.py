@@ -1,10 +1,11 @@
 """Property-based oracles: parser fixpoints, exact inversion round trips,
-the duality involution, classification against its reference, surd
-comparisons, the exact symmetry of every Hermitian assembly, assembly
-against its whole-band reference to the byte, `solve` against its
-grid-coordinate reference and the shared continuum spectrum of orderings
-at one (xi, zeta), checked on generated inputs instead of hand-picked
-catalog entries."""
+the duality involution, dual inversions sharing their exponents, theta as
+the weighted covariance of alpha and gamma, classification against its
+reference, surd comparisons, the exact symmetry of every Hermitian
+assembly, assembly against its whole-band reference to the byte, `solve`
+against its grid-coordinate reference and the shared continuum spectrum
+of orderings at one (xi, zeta), checked on generated inputs instead of
+hand-picked catalog entries."""
 
 from fractions import Fraction as F
 
@@ -23,7 +24,8 @@ from pdmkeo.discretize import AssembledOperator, Grid
 from pdmkeo.classify import classify, dual, in_allowed_region, invert, to_duality
 from pdmkeo.errors import DualOutsideAllowedRegion, KeoError, OutsideAllowedRegion
 from pdmkeo.ordering import (
-    CATALOG_NAMES, BuildingBlock, OrderingSpec, catalog, linear_params, spec,
+    CATALOG_NAMES, BuildingBlock, OrderingSpec, catalog, is_hermitian, linear_params, spec,
+    weighted_mean,
 )
 from pdmkeo.parser import parse, print_canonical
 from pdmkeo.spectra import solve
@@ -117,6 +119,26 @@ def test_dual_is_an_involution_where_defined(point):
     assert dual(image) == d
 
 
+@st.composite
+def duality_pairs(draw):
+    """(xi, |theta|) with both (xi, xi^2 - |theta|) in class vR and
+    (xi, xi^2 + |theta|) in class I: |theta| <= xi^2 keeps the first at zeta >= 0,
+    and -xi/2 - xi^2 and (xi + 1/2)^2 bound the second."""
+    xi = -draw(unit) / 2
+    return xi, draw(unit) * min(xi * xi, -xi / 2 - xi * xi, (xi + F(1, 2)) ** 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(duality_pairs())
+def test_dual_inversions_share_their_exponents(pair):
+    # theta -> -theta re-pairs the same exponents xi +- sqrt|theta|: a
+    # mirrored pair on the vR side, two symmetric terms on the class-I side
+    xi, mag = pair
+    vr, class_i = invert(xi, xi * xi - mag, "vR"), invert(xi, xi * xi + mag, "I")
+    assert ({v for t in vr.terms for v in (t.alpha, t.gamma)}
+            == {v for t in class_i.terms for v in (t.alpha, t.gamma)})
+
+
 radicands = st.integers(1, 30)
 
 
@@ -194,6 +216,13 @@ def _built_in(name, lam, width):
 
 
 @st.composite
+def inverted(draw):
+    """The inversion of an allowed point in one of its classes."""
+    xi, zeta = draw(allowed_points())
+    return invert(xi, zeta, draw(st.sampled_from(sorted(lab.region for lab in classify(xi, zeta)))))
+
+
+@st.composite
 def assembled_orderings(draw, surd_weights=True):
     """A catalog ordering (parameterized families included), a class
     inversion (quadratic-surd exponents in classes vR and I), two terms
@@ -211,9 +240,7 @@ def assembled_orderings(draw, surd_weights=True):
         assume(name != "DA" or args != [-1])  # DA(-1) has diverging weights
         return catalog(name, *args)
     if kind == "inverted":
-        xi, zeta = draw(allowed_points())
-        region = draw(st.sampled_from(sorted(label.region for label in classify(xi, zeta))))
-        return invert(xi, zeta, region)
+        return draw(inverted())
     if kind == "surd weights":
         w = Surd(F(1, 2), draw(small), draw(radicands))
         (a1, g1), (a2, g2) = (draw(st.tuples(small, small)) for _ in range(2))
@@ -338,6 +365,21 @@ def hermitian_at_allowed_points(draw):
     return spec([(total * d2 / (d1 + d2), a1, -1 - a1 - g1, g1),
                  (total * d1 / (d1 + d2), a2, -1 - a2 - g2, g2),
                  (1 - total, a3, -1 - 2 * a3, a3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(inverted(), hermitian_at_allowed_points(), unmirrored_hermitian(),
+                 assembled_orderings().filter(is_hermitian)))
+def test_theta_is_the_weighted_covariance_of_alpha_and_gamma(s):
+    # zeta = <alpha gamma> and xi = <gamma> = <alpha>, so zeta - xi^2 is
+    # Cov_w(alpha, gamma), taken here from the terms alone
+    mean_a = sum((t.w * t.alpha for t in s.terms), F(0))
+    mean_g = sum((t.w * t.gamma for t in s.terms), F(0))
+    cov = sum((t.w * (t.alpha - mean_a) * (t.gamma - mean_g) for t in s.terms), F(0))
+    xi, zeta = weighted_mean(s, "gamma"), weighted_mean(s, "alpha_gamma")
+    assert zeta - xi * xi == cov
+    if not isinstance(xi, Surd) and not isinstance(zeta, Surd) and in_allowed_region(xi, zeta):
+        assert to_duality(xi, zeta).theta == cov
 
 
 @settings(max_examples=25, deadline=None)

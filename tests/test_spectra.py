@@ -237,6 +237,32 @@ def test_spectrum_and_dual_pair_check_k_before_assembling(monkeypatch):
             assert str(exc.value) == message
 
 
+def test_spectrum_refuses_an_eta_ordering_before_assembling(monkeypatch):
+    import pdmkeo.spectra
+    from pdmkeo.classify import invert
+    from pdmkeo.parser import parse
+
+    def assemble(*args, **kwargs):
+        raise AssertionError("assembled an eta != 0 ordering")
+
+    monkeypatch.setattr(pdmkeo.spectra, "assemble_terms", assemble)
+    prof, g = lorentzian(m0=1, lam=1), Grid(-1, 1, 10)
+    # the refusal names the similar Hermitian (xi - eta/2, zeta + eta^2/4)
+    alpha, beta, gamma = (getattr(invert(F(-1, 4), F(1, 32), "vR").terms[0], key)
+                          for key in ("alpha", "beta", "gamma"))
+    for s, eta, point in (
+        (parse("1/2 * m^(-1) p p"), "1", "(-1/2, 1/4)"),
+        (spec([(F(1, 2), F(-1, 4), F(-1, 2), F(-1, 4)), (F(1, 2), 0, 0, -1)]), "-1/2", "(-3/8, 3/32)"),
+        # surd exponents: one unmirrored term lands on the self-dual line
+        (spec([(1, alpha, beta, gamma)]), "-1/4*sqrt(2)", "(-1/4, 1/16)"),
+    ):
+        with pytest.raises(KeoError) as exc:
+            spectrum_of_spec(s, prof, harmonic(), g, 2)
+        assert str(exc.value) == (
+            f"eta = {eta} != 0: the ordering is not Hermitian; psi = m^(-eta/2) phi "
+            f"makes it the Hermitian (xi, zeta) = {point}")
+
+
 def test_dual_pair_theta_zero_is_self_dual():
     prof = lorentzian(m0=1, lam=1)
     rep = dual_pair_report(F(-1, 4), 0, prof, zero_potential(), Grid(-1, 1, 80), 3)

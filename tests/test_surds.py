@@ -1,10 +1,11 @@
 import decimal
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from pdmkeo.surds import Surd, _split_square, exact
+from pdmkeo.surds import Surd, _split_square, exact, float_sqrt, rational
 
 
 def test_sqrt_normalizes_square_factors():
@@ -42,6 +43,32 @@ def test_sqrt_beyond_the_factoring_cap_is_refused():
     assert Surd.sqrt(F(1, 1000000007**2)) == F(1, 1000000007)
     assert Surd.sqrt(F(4 * (10**20 + 39) ** 2, 9)) == F(2 * (10**20 + 39), 3)
     assert Surd.sqrt(F(3 * (10**20 + 39) ** 2)) == Surd(0, 10**20 + 39, 3)
+
+
+def test_float_sqrt_is_the_nearest_float():
+    # against 120-digit decimal roots, whose conversion to float rounds once;
+    # exact roots, huge and tiny radicands and subnormal roots included
+    rng = random.Random(11)
+    cases = [F(1, 10**20 + 39), F(1, 1000000007) ** 2 - F(1, 10**20 + 39), F(9, 4), F(2),
+             F(3, 2**2200), F(10**400 + 1, 7)]
+    cases += [F(rng.randint(1, 10**rng.randint(1, 40)), rng.randint(1, 10**rng.randint(1, 40)))
+              for _ in range(300)]
+    cases += [F(rng.randint(1, 2**60), 2**rng.randint(0, 2200)) for _ in range(300)]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        for r in cases:
+            root = float_sqrt(r)
+            assert isinstance(root, F)
+            expected = float((decimal.Decimal(r.numerator) / decimal.Decimal(r.denominator)).sqrt())
+            assert float(root) == expected, r
+            assert F(float(root)) == root
+
+
+def test_rational_refuses_an_irrational_value():
+    assert rational(Surd(F(1, 3))) == F(1, 3) and type(rational(Surd(F(1, 3)))) is F
+    assert rational("-1/3") == F(-1, 3) and rational(0.5) == F(1, 2)
+    with pytest.raises(ArithmeticError, match="irrational"):
+        rational(Surd.sqrt(2))
 
 
 def test_sqrt_of_negative_rejected():

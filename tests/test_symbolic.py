@@ -40,27 +40,44 @@ def _ordering_applied(s, g):
     return -total / 2
 
 
-def _linear_form_coefficients(lp, inv_m):
+def _symbolic(lp):
+    return tuple(_rational(v) for v in lp.as_tuple())
+
+
+def _linear_form_coefficients(xi, zeta, eta, inv_m):
     """Zeroth- and first-order coefficients (xi u'' + zeta u'^2/u)/2 and
     (eta/2) u' of the linear form, for the inverse mass `inv_m`."""
-    xi, zeta, eta = (_rational(v) for v in lp.as_tuple())
     du = sp.diff(inv_m, x)
     return (xi * sp.diff(inv_m, x, 2) + zeta * du**2 / inv_m) / 2, eta * du / 2
 
 
+def _linear_form(xi, zeta, eta, g):
+    """-(u g')'/2 + V_eff(xi, zeta) g + (eta/2) u' g' with hbar = 1."""
+    v_eff, first_order = _linear_form_coefficients(xi, zeta, eta, u)
+    return -sp.diff(u * sp.diff(g, x), x) / 2 + v_eff * g + first_order * sp.diff(g, x)
+
+
 @pytest.mark.parametrize("s", ORDERINGS, ids=lambda s: s.name or "parsed")
 def test_ordering_equals_its_linear_form(s):
-    lp = linear_params(s)
-    v_eff, first_order = _linear_form_coefficients(lp, u)
-    linear_form = -sp.diff(u * sp.diff(f, x), x) / 2 + v_eff * f + first_order * sp.diff(f, x)
+    linear_form = _linear_form(*_symbolic(linear_params(s)), f)
     assert sp.simplify(sp.expand(_ordering_applied(s, f) - linear_form)) == 0
+
+
+def test_every_ordering_is_similar_to_a_hermitian_one():
+    # u^(-eta/2) T(xi, zeta, eta) u^(eta/2) = T(xi - eta/2, zeta + eta^2/4, 0):
+    # with psi = m^(-eta/2) phi, the first-order term goes, and the new point
+    # has theta = zeta - xi^2 + eta xi, the covariance of alpha and gamma
+    xi, zeta, eta = sp.symbols("xi zeta eta", real=True)
+    similar = u ** (-eta / 2) * _linear_form(xi, zeta, eta, u ** (eta / 2) * f)
+    hermitian = _linear_form(xi - eta / 2, zeta + eta**2 / 4, 0, f)
+    assert sp.simplify(sp.expand(similar - hermitian)) == 0
 
 
 @pytest.mark.parametrize("s", ORDERINGS, ids=lambda s: s.name or "parsed")
 def test_linear_form_coefficients_match_the_assembly(s):
     prof = lorentzian(m0=F(3, 2), lam=F(1, 3))
     inv_m = (1 + _rational(prof.parameters["lam"]) * x**2) / _rational(prof.parameters["m0"])
-    v_eff, first_order = _linear_form_coefficients(linear_params(s), inv_m)
+    v_eff, first_order = _linear_form_coefficients(*_symbolic(linear_params(s)), inv_m)
     hbar = 1.5
     g = Grid(-2.0, 3.0, 40)
     points = g.points
