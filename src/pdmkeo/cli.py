@@ -6,7 +6,9 @@ no such form or the other format was asked for. Exit codes: 0 success,
 1 domain error (single-line diagnostic on stderr, no traceback; running
 out of memory is one too), 2 usage error. Exact quantities cross the
 boundary as rational strings like "-1/3"; grid and physical quantities as
-decimals.
+decimals. A JSON `--config` file, found as argparse reads the flag
+(abbreviated or not), supplies flag values keyed by the flag's name
+without dashes, each checked as the flag's text would be; flags win.
 
 The CLI reads the numerical layer through the package, as `pk.<name>`:
 `pdmkeo` imports it on first use of one of its names, so only the
@@ -129,10 +131,10 @@ def cmd_classify(args):
 
 
 def cmd_invert(args):
-    spec = invert(args.xi, args.zeta, args.cls, float_mode=args.float)
+    spec = invert(args.xi, args.zeta, getattr(args, "class"), float_mode=args.float)
     fmt = (lambda v: repr(float(v))) if args.float else str
     doc = {
-        "class": args.cls,
+        "class": getattr(args, "class"),
         "xi": str(args.xi),
         "zeta": str(args.zeta),
         "float_mode": args.float,
@@ -299,30 +301,25 @@ def cmd_dualpair(args):
     return doc, _csv(csv_rows)
 
 
-def _config_value(flag, value, kw):
+def _config_value(action, value):
     """A config file value checked and converted as the flag's text would be."""
-    if kw.get("action") == "store_true":
+    flag = action.option_strings[0]
+    if action.nargs == 0:
         if not isinstance(value, bool):
             raise KeoError(f"config: {flag} takes true or false, got {value!r}")
         return value
+    # null, a boolean, a list or an object: no flag text spells it
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise KeoError(f"config: {flag} takes a string or a number, got {json.dumps(value)}")
     try:
-        value = kw.get("type", str)(str(value))
+        value = (action.type or str)(str(value))
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise KeoError(f"config: {flag}: {exc}") from None
-    if "choices" in kw and value not in kw["choices"]:
+    if action.choices is not None and value not in action.choices:
         raise KeoError(
-            f"config: {flag}: invalid choice {value!r} (choose from {', '.join(kw['choices'])})"
+            f"config: {flag}: invalid choice {value!r} (choose from {', '.join(action.choices)})"
         )
     return value
-
-
-def _option(p, config, *flags, **kw):
-    """add_argument with the config file's value, if any, as the default."""
-    dest = kw.get("dest") or flags[0].lstrip("-")
-    if dest in config:
-        kw["default"] = _config_value(flags[0], config[dest], kw)
-        kw["required"] = False
-    return p.add_argument(*flags, **kw)
 
 
 class _SpecSource(argparse.Action):
@@ -334,30 +331,29 @@ class _SpecSource(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _add_common(p, config):
-    _option(p, config, "--format", choices=("json", "csv"), default="json")
-    _option(p, config, "--output", default=None, help="write to file instead of stdout")
+def _add_common(p):
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--output", default=None, help="write to file instead of stdout")
     p.add_argument("--config", default=None, help="JSON config file; flags win")
 
 
-def _add_spec_source(p, config):
-    g = p.add_mutually_exclusive_group(required=not {"name", "expr"} & config.keys())
-    _option(g, config, "--name", action=_SpecSource,
-            help="catalog ordering, e.g. ZK or MB(-1/2)")
-    _option(g, config, "--expr", action=_SpecSource,
-            help="ordering expression, e.g. '1/2 * p m^(-1) p'")
+def _add_spec_source(p):
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--name", action=_SpecSource, help="catalog ordering, e.g. ZK or MB(-1/2)")
+    g.add_argument("--expr", action=_SpecSource,
+                   help="ordering expression, e.g. '1/2 * p m^(-1) p'")
 
 
-def _add_point(p, config, second="--zeta"):
-    _option(p, config, "--xi", type=rational_arg, required=True)
-    _option(p, config, second, type=rational_arg, required=True)
+def _add_point(p, second="--zeta"):
+    p.add_argument("--xi", type=rational_arg, required=True)
+    p.add_argument(second, type=rational_arg, required=True)
 
 
-def _add_grid(p, config, default_n=200):
-    _option(p, config, "--n", type=int, default=default_n, help="interior grid points")
-    _option(p, config, "--xmin", type=float, default=-1.0)
-    _option(p, config, "--xmax", type=float, default=1.0)
-    _option(p, config, "--hbar", type=float, default=1.0)
+def _add_grid(p, default_n=200):
+    p.add_argument("--n", type=int, default=default_n, help="interior grid points")
+    p.add_argument("--xmin", type=float, default=-1.0)
+    p.add_argument("--xmax", type=float, default=1.0)
+    p.add_argument("--hbar", type=float, default=1.0)
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
@@ -380,73 +376,80 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = add_parser("params", cmd_params,
                    help="linear ambiguity parameters (xi, zeta, eta) of an ordering")
-    _add_spec_source(p, config)
+    _add_spec_source(p)
 
     p = add_parser("classify", cmd_classify, help="class membership of an exact (xi, zeta) point")
-    _add_point(p, config)
+    _add_point(p)
 
     p = add_parser("invert", cmd_invert, help="two-term ordering of a given class at (xi, zeta)")
-    _add_point(p, config)
-    _option(p, config, "--class", dest="cls", choices=REGIONS, required=True)
-    _option(p, config, "--float", action="store_true", help="evaluate surds numerically")
+    _add_point(p)
+    p.add_argument("--class", choices=REGIONS, required=True)
+    p.add_argument("--float", action="store_true", help="evaluate surds numerically")
 
     p = add_parser("dual", cmd_dual, help="theta -> -theta dual of an allowed (xi, zeta) point")
-    _add_point(p, config)
+    _add_point(p)
 
     add_parser("table1", cmd_table1, help="catalog orderings with their exact (xi, zeta)")
 
     p = add_parser("region", cmd_region, help="classified rational grid over the allowed region")
-    _option(p, config, "--resolution", type=int, default=51)
+    p.add_argument("--resolution", type=int, default=51)
 
     p = add_parser("assemble", cmd_assemble,
                    help="banded finite-difference kinetic operator, exported as a full matrix")
-    _add_spec_source(p, config)
-    _option(p, config, "--profile", required=True, help="mass profile, e.g. lorentzian:m0=1,lam=1")
-    _option(p, config, "--pathway", choices=("terms", "linear"), default="terms")
-    _add_grid(p, config)
+    _add_spec_source(p)
+    p.add_argument("--profile", required=True, help="mass profile, e.g. lorentzian:m0=1,lam=1")
+    p.add_argument("--pathway", choices=("terms", "linear"), default="terms")
+    _add_grid(p)
 
     p = add_parser("defect", cmd_defect,
                    help="two-pathway equivalence defect at n and 2n + 1 points")
-    _add_spec_source(p, config)
-    _option(p, config, "--profile", required=True)
-    _add_grid(p, config)
+    _add_spec_source(p)
+    p.add_argument("--profile", required=True)
+    _add_grid(p)
 
     p = add_parser("spectrum", cmd_spectrum, help="lowest eigenvalues of T + V")
-    _add_spec_source(p, config)
-    _option(p, config, "--profile", required=True)
-    _option(p, config, "--potential", default="zero", help="e.g. zero or harmonic:k=1")
-    _option(p, config, "--k", type=int, default=5)
-    _add_grid(p, config, default_n=500)
+    _add_spec_source(p)
+    p.add_argument("--profile", required=True)
+    p.add_argument("--potential", default="zero", help="e.g. zero or harmonic:k=1")
+    p.add_argument("--k", type=int, default=5)
+    _add_grid(p, default_n=500)
 
     p = add_parser("dualpair", cmd_dualpair, help="side-by-side spectra of a (xi, theta) dual pair")
-    _add_point(p, config, second="--theta")
-    _option(p, config, "--profile", required=True)
-    _option(p, config, "--potential", default="zero")
-    _option(p, config, "--k", type=int, default=5)
-    _add_grid(p, config, default_n=500)
+    _add_point(p, second="--theta")
+    p.add_argument("--profile", required=True)
+    p.add_argument("--potential", default="zero")
+    p.add_argument("--k", type=int, default=5)
+    _add_grid(p, default_n=500)
 
     # the shared options come last, so they close every command's --help
     for p, func in commands:
-        _add_common(p, config)
+        _add_common(p)
         p.set_defaults(func=func)
 
-    # one config file may serve every subcommand, but a key that sets no
-    # option of any of them (a typo, or help and config, which only flags
-    # give) would otherwise be dropped without a word
-    options = {a.dest for p in sub.choices.values() for a in p._actions} - {"help", "config"}
-    unknown = [key for key in config if key not in options]
+    # config values become defaults, checked in declaration order (each
+    # command's own options, then the shared ones); one file may serve every
+    # subcommand, but a key that sets no option of any (a typo, or help and
+    # config, which only flags give) would otherwise be dropped silently
+    actions = [a for p, _ in commands for a in p._actions if a.dest not in ("help", "config")]
+    for a in sorted(actions, key=lambda a: a.dest in ("format", "output")):
+        if a.dest in config:
+            a.default = _config_value(a, config[a.dest])
+            a.required = False
+    for g in (g for p, _ in commands for g in p._mutually_exclusive_groups):
+        g.required = not {a.dest for a in g._group_actions} & config.keys()
+    unknown = [key for key in config if key not in {a.dest for a in actions}]
     if unknown:
         raise KeoError(f"config: unknown key {unknown[0]!r}")
     return parser
 
 
 def _config_defaults(argv) -> dict:
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
+    # --config read alone, as the full parser reads it, abbreviated (--conf)
+    # or not; with no path after it, the full parser gives the usage error
+    pre = argparse.ArgumentParser(add_help=False)
+    pre._negative_number_matcher = _NEGATIVE_VALUE_RE
+    pre.add_argument("--config", nargs="?")
+    path = pre.parse_known_args(argv)[0].config
     if not path:
         return {}
     with open(path) as fh:
@@ -467,7 +470,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
             doc, csv_text = args.func(args)
             _emit(args, doc, csv_text)
-        except (KeoError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
+        except (KeoError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except MemoryError:

@@ -231,12 +231,6 @@ def _as_float(value, what: str) -> float:
         raise ValueError(f"{what} is too large for a float") from None
 
 
-def _mass_power(u: np.ndarray, s: float) -> np.ndarray:
-    """diag values of m^s from inverse-mass samples (m^s = u^(-s); u^-0.0 is
-    exactly 1.0)."""
-    return u ** (-s)
-
-
 def _core_diagonals(b: np.ndarray, h: float, half: int) -> tuple[np.ndarray, np.ndarray]:
     """d/dx b d/dx as the three-point divergence stencil on each stride-`half`
     sublattice (spacing half*h), b sampled halfway between its neighbours:
@@ -296,7 +290,8 @@ def _terms_operator(
     total = np.zeros((3, grid.n))
     # the three diagonals a term reaches; the cells outside the matrix stay +0.0
     diag, upper, lower = total[1], total[0, half:], total[2, :-half]
-    # m^s at the grid points and core stencils, each once per distinct exponent
+    # m^s = u^(-s) at the grid points and core stencils, each once per
+    # distinct exponent (u^-0.0 is exactly 1.0)
     powers, cores = {}, {}
     for i, t in enumerate(spec.terms):
         w, alpha, beta, gamma = (
@@ -304,9 +299,9 @@ def _terms_operator(
         )
         for s in (alpha, gamma):
             if s not in powers:
-                powers[s] = _mass_power(u, s)
+                powers[s] = u ** (-s)
         if beta not in cores:
-            cores[beta] = _core_diagonals(_mass_power(u_core, beta), grid.h, half)
+            cores[beta] = _core_diagonals(u_core ** (-beta), grid.h, half)
         a, c, (core, off) = powers[alpha], powers[gamma], cores[beta]
         # A[i, j] += ((a[i] * core[i, j]) * c[j]) * w, the order of the
         # dense product w diag(a) core diag(c), entry by entry

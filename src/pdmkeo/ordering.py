@@ -156,8 +156,6 @@ def canonicalize(s: OrderingSpec) -> OrderingSpec:
     terms = tuple(
         BuildingBlock(merged[k], *k) for k in keys if merged[k] != 0
     )
-    if not terms:
-        raise WeightSumViolation(0)
     return OrderingSpec(terms, name=s.name)
 
 
@@ -168,17 +166,9 @@ def _rat(x) -> Fraction:
         raise ParameterDomainError(f"catalog parameters must be rational, got {x}") from None
 
 
-def _catalog_w() -> tuple:
-    return (
-        (Fraction(1, 4), -1, 0, 0),
-        (Fraction(1, 2), 0, -1, 0),
-        (Fraction(1, 4), 0, 0, -1),
-    )
-
-
-def _catalog_lal() -> tuple:
-    w = Fraction(1, 3)
-    return ((w, -1, 0, 0), (w, 0, -1, 0), (w, 0, 0, -1))
+def _catalog_wl(w) -> tuple:
+    """w m^-1 p p + (1 - 2w) p m^-1 p + w p p m^-1: W at w = 1/4, Lal at 1/3."""
+    return ((w, -1, 0, 0), (1 - 2 * w, 0, -1, 0), (w, 0, 0, -1))
 
 
 def _catalog_yy() -> tuple:
@@ -223,9 +213,9 @@ _CATALOG = {
     "GW": (partial(_catalog_vr, -1, 0), 0),
     "ZK": (partial(_catalog_mb, Fraction(-1, 2)), 0),
     "MM": (partial(_catalog_mb, Fraction(-1, 4)), 0),
-    "W": (_catalog_w, 0),
+    "W": (partial(_catalog_wl, Fraction(1, 4)), 0),
     "LK": (partial(_catalog_lkda, Fraction(-1, 2)), 0),
-    "Lal": (_catalog_lal, 0),
+    "Lal": (partial(_catalog_wl, Fraction(1, 3)), 0),
     "YY": (_catalog_yy, 0),
     "MB": (_catalog_mb, 1),
     "LKDA": (_catalog_lkda, 1),

@@ -397,6 +397,36 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert doc["xi"] == "-1/3" and doc["zeta"] == "1/6"
 
 
+def test_config_file_is_found_and_keyed_as_argparse_reads_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"xi": "-1/3", "zeta": "1/6"}))
+    # an abbreviated --config loads its file, as argparse reads the flag
+    for spelling in (["--conf", "cfg.json"], ["--conf=cfg.json"]):
+        cp = run_cli("classify", *spelling, cwd=tmp_path)
+        assert cp.returncode == 0, cp.stderr
+        assert json.loads(cp.stdout)["zeta"] == "1/6"
+    # a key is the flag's name without dashes, --class included
+    cfg.write_text(json.dumps({"class": "vR", "xi": "-1/4", "zeta": "1/32"}))
+    cp = run_cli("invert", "--config", str(cfg))
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == run_cli("invert", "--xi", "-1/4", "--zeta", "1/32", "--class", "vR").stdout
+    cfg.write_text(json.dumps({"cls": "vR", "xi": "-1/4", "zeta": "1/32"}))
+    cp = run_cli("invert", "--config", str(cfg))
+    assert (cp.returncode, cp.stdout, cp.stderr) == (1, "", "error: config: unknown key 'cls'\n")
+    # a value that no flag text spells is refused before anything is written
+    for bad in (None, [7], {"a": 1}, True):
+        cfg.write_text(json.dumps({"output": bad}))
+        cp = run_cli("classify", "--config", "cfg.json", "--xi", "-1/3", "--zeta", "1/6",
+                     cwd=tmp_path)
+        assert cp.returncode == 1 and cp.stdout == "", bad
+        assert cp.stderr.startswith("error: config: --output ") and cp.stderr.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"], bad
+    # --config with no path after it is still a usage error
+    cp = run_cli("classify", "--xi", "-1/3", "--zeta", "1/6", "--config")
+    assert cp.returncode == 2 and cp.stdout == ""
+    assert "argument --config: expected one argument" in cp.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["assemble", "--name", "BDD", "--profile", "lorentzian:foo=1", "--n", "8"],
     ["assemble", "--name", "BDD", "--profile", "lorentzian:m0=1/0", "--n", "8"],

@@ -3,9 +3,10 @@ the duality involution, dual inversions sharing their exponents, theta as
 the weighted covariance of alpha and gamma, classification against its
 reference, surd comparisons, the exact symmetry of every Hermitian
 assembly, assembly against its whole-band reference to the byte, `solve`
-against its grid-coordinate reference and the shared continuum spectrum
-of orderings at one (xi, zeta), checked on generated inputs instead of
-hand-picked catalog entries."""
+against its grid-coordinate reference, the shared continuum spectrum
+of orderings at one (xi, zeta) and the levels of an eta != 0 ordering
+against the similar Hermitian ones, checked on generated inputs instead
+of hand-picked catalog entries."""
 
 from fractions import Fraction as F
 
@@ -470,6 +471,71 @@ def test_staggered_levels_converge_to_the_exact_levels(s, prof, a, length, hbar)
     assert np.all(np.abs(fine - exact)[~clean] <= natural[~clean] / 4)
     extrapolated = np.array([richardson(c, f)[0] for c, f in zip(coarse, fine)])
     assert np.all(np.abs(extrapolated - exact) < np.abs(fine - exact))
+
+
+def symmetrized(op):
+    """The staggered tridiagonal `op` under the diagonal similarity that
+    makes it symmetric: each pair of off-diagonal entries u_i = A[i, i+1],
+    l_i = A[i+1, i] becomes sign(u_i) sqrt(u_i l_i), which needs u_i l_i > 0."""
+    upper, lower = op.bands[0, 1:], op.bands[2, :-1]
+    products = upper * lower
+    assert np.all(products > 0), products.min()
+    bands = op.bands.copy()
+    bands[0, 1:] = bands[2, :-1] = np.sign(upper) * np.sqrt(products)
+    return AssembledOperator(bands, op.grid, op.hbar, op.provenance)
+
+
+@st.composite
+def first_order_orderings(draw):
+    """1-3 terms with positive weights and eta != 0."""
+    weights = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    exponent = st.fractions(-1, F(1, 2), max_denominator=8)
+    terms = []
+    for w in weights:
+        alpha, gamma = draw(exponent), draw(exponent)
+        terms.append((F(w, sum(weights)), alpha, -1 - alpha - gamma, gamma))
+    s = spec(terms)
+    assume(linear_params(s).eta != 0)
+    return s
+
+
+@settings(max_examples=40, deadline=None)
+@given(first_order_orderings(), st.sampled_from(["lorentzian", "gaussian_bump", "smoothed_step"]))
+def test_first_order_levels_converge_to_the_similar_hermitian_ones(s, name):
+    """psi = m^(-eta/2) phi makes an eta != 0 ordering the Hermitian one at
+    (xi - eta/2, zeta + eta^2/4). On the terms pathway, positive weights
+    give off-diagonal pairs with positive products, so the staggered
+    operator is similar to a symmetric tridiagonal; its five lowest levels
+    meet those of the linear operator at that point at order 2 in h, and
+    `spectrum_of_spec` names that point when it refuses the ordering. A
+    level whose gap is rounding (a single term maps exactly), or whose h^2
+    term cancels to under 1/8 of the largest gap, where the h^4 term can
+    show in the ratios, is only checked to stay that small."""
+    import re
+
+    from pdmkeo.discretize import assemble_linear, assemble_terms
+    from pdmkeo.ordering import LinearParams
+    from pdmkeo.profiles import PROFILES
+    from pdmkeo.spectra import hamiltonian, harmonic, spectrum_of_spec
+
+    xi, zeta, eta = linear_params(s).as_tuple()
+    similar = LinearParams(xi - eta / 2, zeta + eta * eta / 4, 0)
+    prof, pot = PROFILES[name](), harmonic(4)
+    with pytest.raises(KeoError, match=re.escape(f"({similar.xi}, {similar.zeta})")):
+        spectrum_of_spec(s, prof, pot, Grid(-4.0, 4.0, 200), 5)
+    gaps, levels = [], None
+    for n in (200, 401, 803):
+        grid = Grid(-4.0, 4.0, n)
+        levels = np.array(solve(hamiltonian(assemble_linear(similar, prof, grid), pot), 5)
+                          .eigenvalues)
+        mapped = solve(hamiltonian(symmetrized(assemble_terms(s, prof, grid)), pot), 5)
+        gaps.append(np.abs(np.array(mapped.eigenvalues) - levels))
+    gaps = np.array(gaps)
+    small = np.maximum(1e-9 * np.abs(levels), gaps[0].max() / 8)
+    clean = gaps[0] > small
+    order = np.log2(gaps[:-1, clean] / gaps[1:, clean])
+    assert np.all((1.8 <= order) & (order <= 2.2)), order
+    assert np.all(gaps[:, ~clean] <= small[~clean]), gaps
 
 
 @st.composite
