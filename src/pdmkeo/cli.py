@@ -6,9 +6,10 @@ no such form or the other format was asked for. Exit codes: 0 success,
 1 domain error (single-line diagnostic on stderr, no traceback; running
 out of memory is one too), 2 usage error. Exact quantities cross the
 boundary as rational strings like "-1/3"; grid and physical quantities as
-decimals. A JSON `--config` file, found as argparse reads the flag
-(abbreviated or not), supplies flag values keyed by the flag's name
-without dashes, each checked as the flag's text would be; flags win.
+decimals. A JSON `--config` file, found as the subcommand's parser reads
+the flag (abbreviated or not, the last one winning), supplies flag values
+keyed by the flag's name without dashes, each checked as the flag's text
+would be; flags win. The JSON output is streamed, not held whole.
 
 The CLI reads the numerical layer through the package, as `pk.<name>`:
 `pdmkeo` imports it on first use of one of its names, so only the
@@ -63,18 +64,32 @@ def _csv(rows) -> str:
     return "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
 
 
+def _write(fh, fmt, doc, csv_text) -> None:
+    if fmt == "csv":
+        fh.write(csv_text)
+        return
+    # streamed, so the text is never held whole, and joined in batches of
+    # chunks, so an unbuffered stdout (PYTHONUNBUFFERED) is not written one
+    # token at a time. With an indent, json.dumps uses the same pure-Python
+    # encoder, so the bytes are the same
+    batch = []
+    for chunk in json.JSONEncoder(indent=2).iterencode(doc):
+        batch.append(chunk)
+        if len(batch) == 1 << 14:
+            fh.write("".join(batch))
+            batch.clear()
+    batch.append("\n")
+    fh.write("".join(batch))
+
+
 def _emit(args, doc, csv_text) -> None:
-    if args.format == "csv":
-        if csv_text is None:
-            raise KeoError("this command has no CSV form; use --format json")
-        text = csv_text
-    else:
-        text = json.dumps(doc, indent=2) + "\n"
+    if args.format == "csv" and csv_text is None:
+        raise KeoError("this command has no CSV form; use --format json")
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            _write(fh, args.format, doc, csv_text)
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, args.format, doc, csv_text)
 
 
 def _resolve_spec(args):
@@ -331,10 +346,30 @@ class _SpecSource(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _add_common(p):
+class _ConfigFound(Exception):
+    """Raised out of a parse that has read --config PATH (args[0]): the file
+    may supply a missing flag, so the parse that applies it reports usage
+    errors and help."""
+
+
+class _ConfigPath(argparse.Action):
+    """--config on the parse that looks for it: stores the path (the last
+    one wins) and hands any later usage error or help to the next parse."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+
+        def found(*_):
+            raise _ConfigFound(values)
+
+        parser.error = parser.print_help = found
+
+
+def _add_common(p, config_action):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None, help="write to file instead of stdout")
-    p.add_argument("--config", default=None, help="JSON config file; flags win")
+    p.add_argument("--config", action=config_action, default=None,
+                   help="JSON config file; flags win")
 
 
 def _add_spec_source(p):
@@ -358,7 +393,9 @@ def _add_grid(p, default_n=200):
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     """Build the CLI parser; config values become per-subcommand defaults
-    (explicit flags still win)."""
+    (explicit flags still win). Without a config (None, not {}), the parser
+    is the one that finds --config: see `_parse`."""
+    config_action = _ConfigPath if config is None else "store"
     config = config or {}
     parser = argparse.ArgumentParser(
         prog="pdmkeo",
@@ -423,7 +460,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     # the shared options come last, so they close every command's --help
     for p, func in commands:
-        _add_common(p)
+        _add_common(p, config_action)
         p.set_defaults(func=func)
 
     # config values become defaults, checked in declaration order (each
@@ -443,20 +480,30 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _config_defaults(argv) -> dict:
-    # --config read alone, as the full parser reads it, abbreviated (--conf)
-    # or not; with no path after it, the full parser gives the usage error
-    pre = argparse.ArgumentParser(add_help=False)
-    pre._negative_number_matcher = _NEGATIVE_VALUE_RE
-    pre.add_argument("--config", nargs="?")
-    path = pre.parse_known_args(argv)[0].config
-    if not path:
-        return {}
+def _load_config(path) -> dict:
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise KeoError(f"config: {path} is not JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise KeoError("config file must hold a JSON object of flag values")
     return raw
+
+
+def _parse(argv):
+    """argv parsed, with the config file it names applied. The first parse
+    reads --config as the subcommand's parser does (abbreviated or not, the
+    last one winning); where it finds one, a second parse applies the file."""
+    try:
+        args = build_parser().parse_args(argv)
+        if not args.config:
+            return args
+        path = args.config
+    except _ConfigFound as found:
+        path = found.args[0]
+    # an empty path names no file: the parse runs as without --config
+    return build_parser(_load_config(path) if path else {}).parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -466,8 +513,7 @@ def main(argv=None) -> int:
     # successful run one "warning:" line for each
     with warnings.catch_warnings(record=True) as caught:
         try:
-            parser = build_parser(_config_defaults(argv))
-            args = parser.parse_args(argv)
+            args = _parse(argv)
             doc, csv_text = args.func(args)
             _emit(args, doc, csv_text)
         except (KeoError, ValueError, OSError) as exc:

@@ -28,8 +28,9 @@ outer factors, and once per core exponent at the midpoints. The linear
 path writes the core and the effective potential, and the first-order
 term, whose central difference also sits at offsets +-1, when eta != 0.
 An ordering with eta = 0 assembles to an exactly symmetric operator.
-`AssembledOperator.matrix` is the one dense form, built on demand for
-export and for tests.
+`to_csv` and `to_json_dict` write the dense export row by row from the
+three diagonals; `AssembledOperator.matrix`, built on demand, is the
+dense reference that the tests and the benchmark compare against.
 
 Each diagonal has one formula, whose sums and squares are taken after
 weighting, so they overflow only where an entry does: the core weights
@@ -134,8 +135,8 @@ class AssembledOperator:
     every other entry of A is zero. l is 1 for the staggered scheme
     (tridiagonal) and 2 for the central one that `assemble_terms` also
     takes. The cells of rows 0 and 2 outside the matrix hold the signed
-    zero that dense arithmetic leaves off the band, and `matrix` writes
-    that value there. Another shape, an l that is not an integer in 1 .. n - 1 or an
+    zero that dense arithmetic leaves off the band, and `matrix` and the
+    exports write that value there. Another shape, an l that is not an integer in 1 .. n - 1 or an
     entry that is not finite is a ValueError.
     """
 
@@ -158,7 +159,7 @@ class AssembledOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense n x n matrix, built on each access (the export form)."""
+        """The dense n x n matrix, built on each access (the reference form)."""
         return _dense(self.bands, self.bandwidth)
 
     def applied_to(self, psi: np.ndarray) -> np.ndarray:
@@ -491,15 +492,32 @@ def defect_convergence(
     )
 
 
+def _rows(bands: list, l: int):
+    """The dense rows of the three diagonals `bands` (lists, of floats or of
+    their text) of stride l, one list at a time. Every cell off the
+    diagonals is the one object bands[0][0], the signed zero that `_dense`
+    fills with, so a row costs a pointer per cell."""
+    upper, diagonal, lower = bands
+    n = len(diagonal)
+    for i in range(n):
+        row = [upper[0]] * n
+        if i >= l:
+            row[i - l] = lower[i - l]
+        row[i] = diagonal[i]
+        if i + l < n:
+            row[i + l] = upper[i + l]
+        yield row
+
+
 def to_csv(op: AssembledOperator) -> str:
-    """Row-major dense CSV at full precision."""
-    # row by row: the Python floats of one row at a time, not all n^2
-    lines = [",".join(map(repr, row.tolist())) for row in op.matrix]
-    return "\n".join(lines) + "\n"
+    """Row-major dense CSV at full precision, written from the diagonals."""
+    text = [list(map(repr, row)) for row in op.bands.tolist()]
+    return "".join(",".join(row) + "\n" for row in _rows(text, op.bandwidth))
 
 
 def to_json_dict(op: AssembledOperator) -> dict:
-    """JSON envelope {grid, hbar, provenance, matrix}, the matrix dense."""
+    """JSON envelope {grid, hbar, provenance, matrix}, the matrix dense (a
+    list of rows of floats) and written from the diagonals."""
     return {
         "grid": {
             "x_min": op.grid.x_min,
@@ -509,5 +527,5 @@ def to_json_dict(op: AssembledOperator) -> dict:
         },
         "hbar": op.hbar,
         "provenance": op.provenance,
-        "matrix": op.matrix.tolist(),
+        "matrix": list(_rows(op.bands.tolist(), op.bandwidth)),
     }

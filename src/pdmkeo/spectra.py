@@ -9,10 +9,12 @@ one to within 2^-40 of the scaled H's largest entry (LAPACK's default
 bisects to rounding), inverse iteration (`?stein`) from the bracket
 returns its eigenvector, held as a row, and the eigenvalue reported is
 that vector's Rayleigh quotient, which is exact to rounding plus the
-squared residual over the gap to the next level. Two levels of one
-LAPACK block within 2^10 brackets of each other, from which inverse
-iteration can return one vector twice, send H to bisection to rounding
-instead. H is stored as its three nonzero diagonals, at offsets +l, 0
+squared residual over the gap to the next level. The calls form one
+ladder, `_eigenvectors`, the only place that asks LAPACK: where two levels
+of one LAPACK block lie within 2^10 brackets of each other, from which
+inverse iteration can return one vector twice, or where either routine
+fails, it bisects to rounding instead, and only a failure there is an
+error. H is stored as its three nonzero diagonals, at offsets +l, 0
 and -l, so it is l tridiagonal blocks on the grid points p, p + l,
 p + 2l, ...: one for the staggered scheme, and the even and odd blocks
 (the slices p::2), laid end to end, for the central operators that the
@@ -128,34 +130,35 @@ def hamiltonian(keo: AssembledOperator, potential: PotentialProfile) -> Assemble
 _BRACKET = 2.0**-40
 
 
-def _eigenvectors(d: np.ndarray, e: np.ndarray, k: int, bracket: float):
-    """Eigenvectors of the k lowest levels of the tridiagonal (d, e), one
-    per row, grouped by LAPACK block, or None. `?stebz` brackets each level
-    to within `bracket` (0.0: to rounding) and `?stein` iterates from the
-    brackets. With a nonzero bracket, a nonzero `info` from either routine
-    gives None, and so do two adjacent levels of one block within 2^10
-    brackets of each other; to rounding, a nonzero `info` is a LinAlgError."""
+def _eigenvectors(d: np.ndarray, e: np.ndarray, k: int):
+    """(rows, bracket): eigenvectors of the k lowest levels of the
+    tridiagonal (d, e), one per row, grouped by LAPACK block, and the width
+    `?stebz` bracketed them to, `_BRACKET` or, on the next rung, 0.0 (to
+    rounding), before `?stein` iterated from the brackets."""
     # imported here: scipy.linalg is most of the package's import time, and
     # only the eigensolve needs it. The dotted `from scipy.linalg.lapack
     # import ...` loads the same modules but measured about 10 ms slower on
     # a fresh interpreter's first solve
     from scipy.linalg import lapack
 
-    # range 'I' (levels 1 .. k) and order 'B' (by block, ascending in each)
-    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, k, bracket, "B")
-    routine, w = "?stebz", w[:m]
-    # from shifts this close, inverse iteration can return one vector twice
-    levels = list(zip(iblock[:m].tolist(), w.tolist()))
-    close = bracket and any(b == c and v - u <= 2.0**10 * bracket
-                            for (b, u), (c, v) in zip(levels, levels[1:]))
-    if info == 0 and not close:
-        routine, (z, info) = "?stein", lapack.dstein(d, e, w, iblock, isplit)
-        if info == 0:
-            # the (n, m) array is Fortran-ordered: its transpose is a view
-            # that holds the vectors as contiguous rows
-            return z.T
-    if bracket:
-        return None
+    for bracket in (_BRACKET, 0.0):
+        # range 'I' (levels 1 .. k) and order 'B' (by block, ascending in each)
+        m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, k, bracket, "B")
+        routine, w = "?stebz", w[:m]
+        # from shifts this close, inverse iteration can return one vector twice
+        levels = list(zip(iblock[:m].tolist(), w.tolist()))
+        close = bracket and any(b == c and v - u <= 2.0**10 * bracket
+                                for (b, u), (c, v) in zip(levels, levels[1:]))
+        if info == 0 and not close:
+            # ?stein's convergence test assumes a shift accurate to rounding
+            # and can fail without one when the block it lies in has a small
+            # norm (in scaled units), as a block that LAPACK splits off where
+            # the potential swamps the kinetic coupling can
+            routine, (z, info) = "?stein", lapack.dstein(d, e, w, iblock, isplit)
+            if info == 0:
+                # the (n, m) array is Fortran-ordered: its transpose is a
+                # view that holds the vectors as contiguous rows
+                return z.T, bracket
     raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info})")
 
 
@@ -184,12 +187,13 @@ def solve(h: AssembledOperator, k: int) -> SpectrumResult:
     returns a unit eigenvector x, held as a row. In the same coordinates
     each eigenvalue is the Rayleigh quotient e = (x.Hx)/(x.x), accurate to
     rounding plus ||Hx - ex||^2 / gap, and the residual ||Hx - ex|| is taken
-    on the blocks; only these k pairs are scaled back. Where two levels of
-    one LAPACK block lie within 2^10 brackets of each other, or inverse
-    iteration fails from the bracket (a block of small norm that LAPACK
-    splits off can make it), H is bisected to rounding instead; so only
-    levels of different blocks closer than the bracket are each within it of
-    the true one."""
+    on the blocks; only these k pairs are scaled back. Both LAPACK calls go
+    through one ladder: where two levels of one LAPACK block lie within 2^10
+    brackets of each other, or either routine fails from the bracket (a
+    block of small norm that LAPACK splits off can make `?stein` fail), H is
+    bisected to rounding instead, and a failure there is a LinAlgError that
+    names the routine and its `info`; so only levels of different blocks
+    closer than the bracket are each within it of the true one."""
     k = _check_k(k, h.grid.n)
     bands, l = h.bands, h.bandwidth
     scale = float(np.abs(bands).max()) or 1.0
@@ -208,16 +212,7 @@ def solve(h: AssembledOperator, k: int) -> SpectrumResult:
     _, diagonal, lower = rows
     # the bracket only has to pick out the eigenvalue that inverse iteration
     # converges to; the Rayleigh quotient below fixes its value
-    bracket = _BRACKET
-    x = _eigenvectors(diagonal, lower[:-1], k, bracket)
-    if x is None:
-        # two close levels of one block, or ?stein's convergence test, which
-        # assumes a shift accurate to rounding and fails without one when
-        # the block it lies in has a small norm (in scaled units), as a
-        # block that LAPACK splits off where the potential swamps the
-        # kinetic coupling can
-        bracket = 0.0
-        x = _eigenvectors(diagonal, lower[:-1], k, bracket)
+    x, bracket = _eigenvectors(diagonal, lower[:-1], k)
     hx = _apply(rows, x, 1)
     # summed along each row elementwise, not as a BLAS product, whose
     # rounding can depend on its thread count

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from pdmkeo.errors import KeoError, NotSymmetric
-from pdmkeo.spectra import _BRACKET, _eigenvectors
+from pdmkeo.spectra import _eigenvectors
 
 
 def reference_solve(h, k):
@@ -35,9 +35,7 @@ def reference_solve(h, k):
     shift = math.frexp(scale)[1]
     d = np.ldexp(np.concatenate([bands[1, b] for b in blocks]), -shift)
     e = np.ldexp(np.concatenate([bands[2, b] for b in blocks])[:-1], -shift)
-    vecs = _eigenvectors(d, e, k, _BRACKET)
-    if vecs is None:
-        vecs = _eigenvectors(d, e, k, 0.0)
+    vecs, _ = _eigenvectors(d, e, k)
     x, start = np.empty((vecs.shape[0], n)), 0
     for b in blocks:
         stop = start + len(range(b.start, n, half))

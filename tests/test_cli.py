@@ -425,6 +425,31 @@ def test_config_file_is_found_and_keyed_as_argparse_reads_flags(tmp_path):
     cp = run_cli("classify", "--xi", "-1/3", "--zeta", "1/6", "--config")
     assert cp.returncode == 2 and cp.stdout == ""
     assert "argument --config: expected one argument" in cp.stderr
+    # --c is --config only where the subcommand's parser reads it so: in
+    # invert it is ambiguous with --class
+    cp = run_cli("invert", "--c", "vR", "--xi", "0", "--zeta", "0", cwd=tmp_path)
+    assert cp.returncode == 2 and cp.stdout == ""
+    assert "ambiguous option: --c could match --class, --config" in cp.stderr
+    cfg.write_text(json.dumps({"xi": "-1/3", "zeta": "1/6"}))
+    cp = run_cli("classify", "--c", "cfg.json", cwd=tmp_path)
+    assert cp.returncode == 0 and json.loads(cp.stdout)["zeta"] == "1/6", cp.stderr
+    # a repeated --config loads the last file, and {} is a config too
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"xi": "-1/4", "zeta": "1/32"}))
+    cp = run_cli("classify", "--config", "cfg.json", "--config", "other.json", cwd=tmp_path)
+    assert cp.returncode == 0 and json.loads(cp.stdout)["zeta"] == "1/32", cp.stderr
+    other.write_text("{}")
+    cp = run_cli("classify", "--xi", "-1/3", "--zeta", "1/6", "--config", "other.json",
+                 cwd=tmp_path)
+    assert cp.returncode == 0 and json.loads(cp.stdout)["zeta"] == "1/6", cp.stderr
+    cp = run_cli("classify", "--config", "other.json", cwd=tmp_path)
+    assert cp.returncode == 2 and "the following arguments are required" in cp.stderr
+    # a file that is not JSON is named in one error line
+    other.write_text("{not json")
+    cp = run_cli("params", "--config", "other.json", cwd=tmp_path)
+    assert (cp.returncode, cp.stdout) == (1, "")
+    assert cp.stderr.startswith("error: config: other.json is not JSON: ")
+    assert cp.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,9 +4,10 @@ the weighted covariance of alpha and gamma, classification against its
 reference, surd comparisons, the exact symmetry of every Hermitian
 assembly, assembly against its whole-band reference to the byte, `solve`
 against its grid-coordinate reference, the shared continuum spectrum
-of orderings at one (xi, zeta) and the levels of an eta != 0 ordering
-against the similar Hermitian ones, checked on generated inputs instead
-of hand-picked catalog entries."""
+of orderings at one (xi, zeta), the levels of an eta != 0 ordering
+against the similar Hermitian ones, and the levels of orderings with any
+eta against the exact free-particle ones, checked on generated inputs
+instead of hand-picked catalog entries."""
 
 from fractions import Fraction as F
 
@@ -430,40 +431,33 @@ def resolved_profiles(draw):
     return _built_in(name, lam, width)
 
 
-@settings(max_examples=40, deadline=None)
-@given(assembled_orderings(surd_weights=False).filter(lambda s: linear_params(s).eta == 0),
-       resolved_profiles(), st.fractions(-2, 1, max_denominator=20),
-       st.fractions(1, 3, max_denominator=20), st.sampled_from([1.0, 0.5]))
-def test_staggered_levels_converge_to_the_exact_levels(s, prof, a, length, hbar):
-    """y = int sqrt(m) dx and psi = m^(1/4) phi map the ordering at
+def _assert_levels_reach_the_exact_levels(levels, xi, zeta, prof, x_min, x_max, hbar):
+    """y = int sqrt(m) dx and psi = m^(1/4) phi map the Hermitian ordering at
     (xi, zeta) = (-1/4, 1/16), MM's point, to a free particle in y. With
-    V = V_eff(-1/4 - xi, 1/16 - zeta) any eta = 0 ordering is at that point,
-    so its Dirichlet levels on [a, b] are E_j = (hbar j pi / L)^2 / 2 with
-    L = int_a^b sqrt(m) dx: the staggered spectrum reaches them at order 2,
-    and Richardson extrapolation comes closer than the finer grid. A level
-    whose h^2 error cancels to under a quarter of the free particle's,
-    E_j (j pi h / (b - a))^2 / 12, shows its h^4 term in the observed
-    order (about one draw in a hundred); there only that size is checked."""
+    V = V_eff(-1/4 - xi, 1/16 - zeta) an ordering at (xi, zeta) is at that
+    point, so its Dirichlet levels on [a, b] are E_j = (hbar j pi / L)^2 / 2
+    with L = int_a^b sqrt(m) dx. `levels(grid, V)`, the three lowest on a
+    grid of [a, b], reach them at order 2, and Richardson extrapolation comes
+    closer than the finer grid. A level whose h^2 error cancels to under a
+    quarter of the free particle's, E_j (j pi h / (b - a))^2 / 12, shows its
+    h^4 term in the observed order (about one draw in a hundred); there only
+    that size is checked."""
     import math
 
-    import numpy as np
     from scipy.integrate import quad
 
-    from pdmkeo.discretize import Grid, effective_potential
+    from pdmkeo.discretize import effective_potential
     from pdmkeo.ordering import LinearParams
-    from pdmkeo.spectra import PotentialProfile, richardson, spectrum_of_spec
+    from pdmkeo.spectra import PotentialProfile, richardson
 
-    xi, zeta, _ = linear_params(s).as_tuple()
     shift = LinearParams(F(-1, 4) - xi, F(1, 16) - zeta, 0)
     potential = PotentialProfile("to_mm", lambda x: effective_potential(shift, prof, x, hbar))
-    x_min, x_max = float(a), float(a + length)
     length_y, _ = quad(lambda x: math.sqrt(1.0 / prof.jet(np.array([x]))[0][0]), x_min, x_max,
                        epsabs=0, epsrel=1e-13)
     j = np.arange(1, 4)
     exact = (hbar * j * math.pi / length_y) ** 2 / 2
     grid = Grid(x_min, x_max, 400)
-    coarse, fine = (np.array(spectrum_of_spec(s, prof, potential, g, 3, hbar=hbar).eigenvalues)
-                    for g in (grid, grid.refined()))
+    coarse, fine = (np.array(levels(g, potential)) for g in (grid, grid.refined()))
     order = np.log2(np.abs(coarse - exact) / np.abs(fine - exact))
     natural = exact * (j * math.pi * grid.h / (x_max - x_min)) ** 2 / 12
     clean = np.abs(coarse - exact) >= natural / 4
@@ -471,6 +465,24 @@ def test_staggered_levels_converge_to_the_exact_levels(s, prof, a, length, hbar)
     assert np.all(np.abs(fine - exact)[~clean] <= natural[~clean] / 4)
     extrapolated = np.array([richardson(c, f)[0] for c, f in zip(coarse, fine)])
     assert np.all(np.abs(extrapolated - exact) < np.abs(fine - exact))
+
+
+@settings(max_examples=40, deadline=None)
+@given(assembled_orderings(surd_weights=False).filter(lambda s: linear_params(s).eta == 0),
+       resolved_profiles(), st.fractions(-2, 1, max_denominator=20),
+       st.fractions(1, 3, max_denominator=20), st.sampled_from([1.0, 0.5]))
+def test_staggered_levels_converge_to_the_exact_levels(s, prof, a, length, hbar):
+    """Any eta = 0 ordering, shifted to MM's point, reaches the free
+    particle's levels (see `_assert_levels_reach_the_exact_levels`)."""
+    from pdmkeo.spectra import spectrum_of_spec
+
+    xi, zeta, _ = linear_params(s).as_tuple()
+
+    def levels(grid, potential):
+        return spectrum_of_spec(s, prof, potential, grid, 3, hbar=hbar).eigenvalues
+
+    _assert_levels_reach_the_exact_levels(levels, xi, zeta, prof, float(a), float(a + length),
+                                          hbar)
 
 
 def symmetrized(op):
@@ -536,6 +548,29 @@ def test_first_order_levels_converge_to_the_similar_hermitian_ones(s, name):
     order = np.log2(gaps[:-1, clean] / gaps[1:, clean])
     assert np.all((1.8 <= order) & (order <= 2.2)), order
     assert np.all(gaps[:, ~clean] <= small[~clean]), gaps
+
+
+@settings(max_examples=40, deadline=None)
+@given(first_order_orderings())
+def test_first_order_levels_converge_to_the_exact_levels(s):
+    """The eta != 0 version of the test above: the symmetrized terms
+    operator of an ordering at (xi, zeta, eta) is similar to the Hermitian
+    one at (xi', zeta') = (xi - eta/2, zeta + eta^2/4), so shifted from
+    there to MM's point it reaches the free particle's levels on lorentzian
+    [-1, 1] at order 2."""
+    from pdmkeo.discretize import assemble_terms
+    from pdmkeo.profiles import lorentzian
+    from pdmkeo.spectra import hamiltonian
+
+    xi, zeta, eta = linear_params(s).as_tuple()
+    prof = lorentzian(m0=1, lam=1)
+
+    def levels(grid, potential):
+        op = symmetrized(assemble_terms(s, prof, grid))
+        return solve(hamiltonian(op, potential), 3).eigenvalues
+
+    _assert_levels_reach_the_exact_levels(levels, xi - eta / 2, zeta + eta * eta / 4, prof,
+                                          -1.0, 1.0, 1.0)
 
 
 @st.composite

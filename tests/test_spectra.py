@@ -534,6 +534,12 @@ def test_a_lapack_failure_at_the_bracket_bisects_to_rounding(monkeypatch):
     monkeypatch.setattr(lapack, "dstein", _failing(lapack.dstein))
     with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
         solve(h, 5)
+    # ?stebz failing at every bracket fails the last rung, and the error
+    # names the routine
+    monkeypatch.undo()
+    monkeypatch.setattr(lapack, "dstebz", _failing(lapack.dstebz))
+    with pytest.raises(np.linalg.LinAlgError, match=r"LAPACK \?stebz failed \(info = 1\)"):
+        solve(h, 5)
 
 
 def test_provenance_records_the_bracket_and_the_largest_residual():
