@@ -32,6 +32,7 @@ from fractions import Fraction
 from .errors import (
     ConstraintUnsatisfied,
     DualOutsideAllowedRegion,
+    KeoError,
     OutsideAllowedRegion,
 )
 from .ordering import BuildingBlock, OrderingSpec
@@ -63,7 +64,7 @@ class ClassLabel:
 
     def __post_init__(self):
         if self.region not in REGIONS:
-            raise ValueError(f"unknown region {self.region!r}")
+            raise KeoError(f"unknown region {self.region!r}")
         object.__setattr__(self, "boundaries", frozenset(self.boundaries))
 
 
@@ -234,14 +235,14 @@ def region_samples(resolution: int):
 
     Returns (xi, zeta, labels) triples for the grid points inside the
     allowed region, in row-major (xi outer, zeta inner) order. A resolution
-    that is not an integer >= 2 is a ValueError.
+    that is not an integer >= 2 is a KeoError.
     """
     try:
         resolution = operator.index(resolution)
     except TypeError:
-        raise ValueError(f"need an integer resolution, got resolution = {resolution!r}") from None
+        raise KeoError(f"need an integer resolution, got resolution = {resolution!r}") from None
     if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+        raise KeoError("resolution must be >= 2")
     steps = resolution - 1
     # every point is (x/d, z/d) over the shared denominator d
     d = 4 * steps

@@ -516,7 +516,7 @@ def main(argv=None) -> int:
             args = _parse(argv)
             doc, csv_text = args.func(args)
             _emit(args, doc, csv_text)
-        except (KeoError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except MemoryError:

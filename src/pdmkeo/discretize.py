@@ -69,7 +69,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonPositiveMass
+from .errors import KeoError, NonPositiveMass
 from .ordering import LinearParams, OrderingSpec, is_hermitian, linear_params, weighted_mean
 from .profiles import MassProfile
 
@@ -89,19 +89,19 @@ class Grid:
         try:
             operator.index(self.n)
         except TypeError:
-            raise ValueError(f"need an integer n, got n = {self.n!r}") from None
+            raise KeoError(f"need an integer n, got n = {self.n!r}") from None
         if self.n < 3:
-            raise ValueError("need n >= 3 interior points")
+            raise KeoError("need n >= 3 interior points")
         if not all(map(math.isfinite, (self.x_min, self.x_max, self.h))):
-            raise ValueError(
+            raise KeoError(
                 f"need finite x_min, x_max and spacing, got x_min = {self.x_min!r}, "
                 f"x_max = {self.x_max!r}, h = {self.h!r}"
             )
         if not self.x_max > self.x_min:
-            raise ValueError("need x_max > x_min")
+            raise KeoError("need x_max > x_min")
         # the second-derivative stencils scale with 1/h^2, which must be finite
         if not (self.h * self.h > 0 and math.isfinite(1 / (self.h * self.h))):
-            raise ValueError(f"need a spacing with a finite 1/h^2, got h = {self.h!r}")
+            raise KeoError(f"need a spacing with a finite 1/h^2, got h = {self.h!r}")
 
     @property
     def h(self) -> float:
@@ -137,7 +137,7 @@ class AssembledOperator:
     takes. The cells of rows 0 and 2 outside the matrix hold the signed
     zero that dense arithmetic leaves off the band, and `matrix` and the
     exports write that value there. Another shape, an l that is not an integer in 1 .. n - 1 or an
-    entry that is not finite is a ValueError.
+    entry that is not finite is a KeoError.
     """
 
     bands: np.ndarray
@@ -149,11 +149,11 @@ class AssembledOperator:
     def __post_init__(self):
         n, l = self.grid.n, self.bandwidth
         if np.shape(self.bands) != (3, n) or not (isinstance(l, Integral) and 1 <= l < n):
-            raise ValueError(f"need bands of shape (3, n) and an integer bandwidth 1 <= l < n "
+            raise KeoError(f"need bands of shape (3, n) and an integer bandwidth 1 <= l < n "
                              f"for n = {n}, got shape {np.shape(self.bands)} and l = {l!r}")
         # hbar^2/h^2 * m^s can overflow though hbar and the grid pass their checks
         if not np.isfinite(self.bands).all():
-            raise ValueError(
+            raise KeoError(
                 f"operator entries are not finite (hbar = {self.hbar!r}, h = {self.grid.h!r})"
             )
 
@@ -225,11 +225,11 @@ def _positive(u: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _as_float(value, what: str) -> float:
-    """float(value); an exact value that no float holds is a ValueError."""
+    """float(value); an exact value that no float holds is a KeoError."""
     try:
         return float(value)
     except OverflowError:
-        raise ValueError(f"{what} is too large for a float") from None
+        raise KeoError(f"{what} is too large for a float") from None
 
 
 def _core_diagonals(b: np.ndarray, h: float, half: int) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +262,7 @@ def assemble_terms(
     An ordering with eta = 0 gives the exactly symmetric (A + A^T)/2.
     scheme='central' is kept only for the benchmark (see the module doc)."""
     if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+        raise KeoError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     _require_hbar(hbar)
     if scheme == "central":
         u = u_core = _positive(np.asarray(profile.jet(grid.points)[0], dtype=float), grid.points)
@@ -324,6 +324,7 @@ def effective_potential(
     params: LinearParams, profile: MassProfile, x, hbar: float = 1.0
 ):
     """Multiplicative reordering potential (hbar^2/2) [xi (1/m)'' + zeta ((1/m)')^2 m]."""
+    _require_hbar(hbar)
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
     u, du, ddu = (np.asarray(v, dtype=float) for v in profile.jet(flat))
@@ -336,7 +337,7 @@ def _check_derivatives(profile: MassProfile, x: np.ndarray, u, du, ddu) -> None:
     """A derivative (d_inv_m, dd_inv_m) sampled at x, with u = 1/m there, that
     is not finite, or unlike central differences of 1/m at every
     (x.size // 21)-th point by more than the rounding of x explains, is a
-    ValueError."""
+    KeoError."""
     if x.size == 0:
         return
     # a scale is NaN or inf if one of its samples is
@@ -344,7 +345,7 @@ def _check_derivatives(profile: MassProfile, x: np.ndarray, u, du, ddu) -> None:
     for name, v, s in (("d_inv_m", du, scale1), ("dd_inv_m", ddu, scale2)):
         if not math.isfinite(s):
             i = int(np.flatnonzero(~np.isfinite(v))[0])
-            raise ValueError(f"profile {profile.name!r}: {name} is not finite at index {i}")
+            raise KeoError(f"profile {profile.name!r}: {name} is not finite at index {i}")
     # the step resolves the profile's own length, scale/|u'| or sqrt(scale/|u''|)
     h = 1e-4 * min(1.0, scale / scale1 if scale1 else 1.0,
                    math.sqrt(scale / scale2) if scale2 else 1.0)
@@ -366,7 +367,7 @@ def _check_derivatives(profile: MassProfile, x: np.ndarray, u, du, ddu) -> None:
     for name, err, tol in (("d_inv_m", err1, 1e-5 * max(scale, scale1)),
                            ("dd_inv_m", err2, 1e-3 * max(scale, scale2))):
         if not err <= tol:
-            raise ValueError(f"profile {profile.name!r}: {name} disagrees with finite differences")
+            raise KeoError(f"profile {profile.name!r}: {name} disagrees with finite differences")
 
 
 def _effective_potential(params: LinearParams, u, du, ddu, hbar: float) -> np.ndarray:
@@ -423,7 +424,7 @@ def _linear_operator(
 def _require_hbar(hbar: float) -> None:
     # the operators scale with hbar^2, which must be finite too
     if not (math.isfinite(hbar) and math.isfinite(hbar * hbar)):
-        raise ValueError(f"need a finite hbar with a finite hbar^2, got hbar = {hbar!r}")
+        raise KeoError(f"need a finite hbar with a finite hbar^2, got hbar = {hbar!r}")
 
 
 def equivalence_defect(
@@ -435,7 +436,7 @@ def equivalence_defect(
 ) -> float:
     """||(A_terms - A_linear) psi||_2 / ||psi||_2 for psi sampled from a smooth
     boundary-vanishing test function; the two-pathway agreement oracle.
-    A zero or non-finite ||psi||, or a non-finite defect, is a ValueError.
+    A zero or non-finite ||psi||, or a non-finite defect, is a KeoError.
     Both pathways are assembled under the staggered scheme from one `_sample`."""
     _require_hbar(hbar)
     u, du, ddu, u_mid = _sample(profile, grid, derivatives=True)
@@ -444,10 +445,10 @@ def equivalence_defect(
     psi = np.asarray(test_function(grid.points), dtype=float)
     norm = float(np.linalg.norm(psi))
     if norm == 0:
-        raise ValueError("test function vanishes identically on the grid")
+        raise KeoError("test function vanishes identically on the grid")
     defect = float(np.linalg.norm(a.applied_to(psi) - b.applied_to(psi)) / norm)
     if not (math.isfinite(norm) and math.isfinite(defect)):
-        raise ValueError(f"defect is not finite: ||psi|| = {norm!r}, defect = {defect!r}")
+        raise KeoError(f"defect is not finite: ||psi|| = {norm!r}, defect = {defect!r}")
     return defect
 
 
@@ -478,7 +479,7 @@ def defect_convergence(
     try:
         fine = grid.refined()
     except ValueError as exc:
-        raise ValueError(f"the refined grid of 2n + 1 = {2 * grid.n + 1} points is refused: "
+        raise KeoError(f"the refined grid of 2n + 1 = {2 * grid.n + 1} points is refused: "
                          f"{exc}") from None
     coarse_defect = equivalence_defect(spec, profile, grid, test_function, hbar=hbar)
     fine_defect = equivalence_defect(spec, profile, fine, test_function, hbar=hbar)

@@ -1,11 +1,11 @@
 """Exception hierarchy shared by all pdmkeo modules.
 
-Every domain failure derives from KeoError so the CLI can map library
-errors to exit code 1 with a one-line diagnostic.
+Every refusal is a KeoError, and every KeoError is a ValueError; the CLI
+maps ValueError and OSError to exit code 1 with a one-line diagnostic.
 """
 
 
-class KeoError(Exception):
+class KeoError(ValueError):
     """Base class for all domain errors raised by this package."""
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from fractions import Fraction
 
-from .errors import ConstraintViolation, ParameterDomainError, UnknownOrdering, WeightSumViolation
+from .errors import ConstraintViolation, KeoError, ParameterDomainError, UnknownOrdering, WeightSumViolation
 from .surds import Surd, exact, rational
 
 Exact = Fraction | Surd
@@ -56,7 +56,7 @@ class OrderingSpec:
     def __post_init__(self):
         terms = tuple(self.terms)
         if not terms:
-            raise ValueError("an ordering needs at least one term")
+            raise KeoError("an ordering needs at least one term")
         object.__setattr__(self, "terms", terms)
         check(self)
 
@@ -130,7 +130,7 @@ _SELECTORS = ("alpha", "gamma", "alpha_gamma")
 def weighted_mean(s: OrderingSpec, selector: str) -> Exact:
     """Weight-averaged alpha, gamma, or alpha*gamma over the terms."""
     if selector not in _SELECTORS:
-        raise ValueError(f"selector must be one of {_SELECTORS}, got {selector!r}")
+        raise KeoError(f"selector must be one of {_SELECTORS}, got {selector!r}")
     return s._means[_SELECTORS.index(selector)]
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError, WrongMomentumCount
+from .errors import KeoError, ParseError, WrongMomentumCount
 from .ordering import BuildingBlock, OrderingSpec, canonicalize
 
 _TOKEN_SPEC = (
@@ -148,7 +148,7 @@ def parse(text: str) -> OrderingSpec:
 
 def _format_rational(x) -> str:
     if not isinstance(x, (int, Fraction)):
-        raise ValueError(f"{x} is not representable in the expression grammar")
+        raise KeoError(f"{x} is not representable in the expression grammar")
     return str(x)
 
 

@@ -25,6 +25,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .errors import KeoError
+
 
 @dataclass(frozen=True, eq=False)
 class MassProfile:
@@ -47,7 +49,7 @@ def _powers(parameter: str, value: float, label: str, base: float, *exponents: i
             divisor: bool = True) -> list[float]:
     """base**k for each k, constants that a jet computes from `parameter`.
     One that overflows, or is zero while the jet divides by it, is a
-    ValueError naming the parameter."""
+    KeoError naming the parameter."""
     powers = []
     for k in exponents:
         try:
@@ -55,7 +57,7 @@ def _powers(parameter: str, value: float, label: str, base: float, *exponents: i
         except OverflowError:
             power = math.inf
         if not math.isfinite(power) or (divisor and power == 0):
-            raise ValueError(
+            raise KeoError(
                 f"{parameter} = {value!r} is out of range: {label}^{k} = {power!r} in floats"
             )
         powers.append(power)
@@ -67,7 +69,7 @@ def constant(m0=1) -> MassProfile:
     p = _params(m0=m0)
     m0f = float(p["m0"])
     if m0f <= 0:
-        raise ValueError("m0 must be positive")
+        raise KeoError("m0 must be positive")
     u0 = 1.0 / m0f
 
     def jet(x):
@@ -82,7 +84,7 @@ def lorentzian(m0=1, lam=1) -> MassProfile:
     p = _params(m0=m0, lam=lam)
     m0f, lamf = float(p["m0"]), float(p["lam"])
     if m0f <= 0 or lamf < 0:
-        raise ValueError("need m0 > 0 and lam >= 0")
+        raise KeoError("need m0 > 0 and lam >= 0")
 
     def jet(x):
         x = np.asarray(x, dtype=float)
@@ -101,7 +103,7 @@ def gaussian_bump(m0=1, lam=1, sigma=1) -> MassProfile:
     p = _params(m0=m0, lam=lam, sigma=sigma)
     m0f, lamf, sig = float(p["m0"]), float(p["lam"]), float(p["sigma"])
     if m0f <= 0 or sig <= 0 or lamf <= -1:
-        raise ValueError("need m0 > 0, sigma > 0 and lam > -1")
+        raise KeoError("need m0 > 0, sigma > 0 and lam > -1")
     sig2, sig4 = _powers("sigma", sig, "sigma", sig, 2, 4)
 
     def jet(x):
@@ -123,7 +125,7 @@ def smoothed_step(m0=1, lam="1/2", sigma=1) -> MassProfile:
     p = _params(m0=m0, lam=lam, sigma=sigma)
     m0f, lamf, sig = float(p["m0"]), float(p["lam"]), float(p["sigma"])
     if m0f <= 0 or sig <= 0 or abs(lamf) >= 1:
-        raise ValueError("need m0 > 0, sigma > 0 and |lam| < 1")
+        raise KeoError("need m0 > 0, sigma > 0 and |lam| < 1")
     (sig2,) = _powers("sigma", sig, "sigma", sig, 2)
 
     def jet(x):
@@ -145,7 +147,7 @@ def cosine_bump(m0=1, lam=1, half_width=1) -> MassProfile:
     p = _params(m0=m0, lam=lam, half_width=half_width)
     m0f, lamf, lf = float(p["m0"]), float(p["lam"]), float(p["half_width"])
     if m0f <= 0 or lf <= 0 or lamf <= -1:
-        raise ValueError("need m0 > 0, half_width > 0 and lam > -1")
+        raise KeoError("need m0 > 0, half_width > 0 and lam > -1")
     # the jet only multiplies by w = pi / (2 half_width), so w may be zero
     w, w2 = _powers("half_width", lf, "(pi/(2 half_width))", np.pi / (2.0 * lf), 1, 2,
                     divisor=False)
@@ -179,27 +181,27 @@ def _parameter_names(builder: Callable) -> tuple[str, ...]:
 def _from_spec_text(spec: str, kind: str, builders: Mapping[str, Callable]):
     """Call builders[name] for 'name' or 'name:key=value,...' text, each
     value an exact rational that a float can hold. Malformed text, an
-    unknown name, an unknown parameter or one given twice raises ValueError."""
+    unknown name, an unknown parameter or one given twice raises KeoError."""
     name, _, arg_text = spec.partition(":")
     name = name.strip()
     if name not in builders:
-        raise ValueError(f"unknown {kind} {name!r}; known: {', '.join(builders)}")
+        raise KeoError(f"unknown {kind} {name!r}; known: {', '.join(builders)}")
     known = _parameter_names(builders[name])
     kwargs = {}
     if arg_text.strip():
         for item in arg_text.split(","):
             key, _, value = (part.strip() for part in item.partition("="))
             if key not in known:
-                raise ValueError(
+                raise KeoError(
                     f"{kind} {name} has no parameter {key!r}; known: {', '.join(known) or 'none'}"
                 )
             if key in kwargs:
-                raise ValueError(f"{kind} {name} parameter {key!r} is given twice")
+                raise KeoError(f"{kind} {name} parameter {key!r} is given twice")
             try:
                 kwargs[key] = Fraction(value)
                 float(kwargs[key])  # the builders evaluate in floats
             except (ValueError, ZeroDivisionError, OverflowError):
-                raise ValueError(
+                raise KeoError(
                     f"malformed {kind} parameter {item!r}: need key=value with a finite rational value"
                 ) from None
     return builders[name](**kwargs)

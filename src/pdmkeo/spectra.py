@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -122,7 +122,7 @@ def hamiltonian(keo: AssembledOperator, potential: PotentialProfile) -> Assemble
     bands[1] = keo.bands[1] + v
     prov = dict(keo.provenance)
     prov["potential"] = potential.name
-    return AssembledOperator(bands, keo.grid, keo.hbar, prov, bandwidth=keo.bandwidth)
+    return replace(keo, bands=bands, provenance=prov)
 
 
 # the absolute width to which bisection brackets each eigenvalue of the

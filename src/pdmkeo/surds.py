@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from functools import total_ordering
 
+from .errors import KeoError
+
 
 # trial division stops here; it decides every n below _TRIAL_LIMIT^3 = 2^63
 _TRIAL_LIMIT = 1 << 21
@@ -23,7 +25,7 @@ def _split_square(n: int) -> tuple[int, int]:
     while i^3 <= the cofactor c, which leaves c with at most two prime
     factors: c is p*p, which `math.isqrt` finds, or it is squarefree. A
     cofactor still above i^3 once i passes `_TRIAL_LIMIT` (above 2^63, so n
-    is too) is a ValueError, unless it is a square."""
+    is too) is a KeoError, unless it is a square."""
     s, d, c, i = 1, 1, n, 2
     while i * i * i <= c and i <= _TRIAL_LIMIT:
         e = 0
@@ -37,7 +39,7 @@ def _split_square(n: int) -> tuple[int, int]:
     if r * r == c:
         return s * r, d
     if i * i * i <= c:
-        raise ValueError(f"exact square root out of reach: {n} has a part above 2^63 "
+        raise KeoError(f"exact square root out of reach: {n} has a part above 2^63 "
                          f"free of primes below 2^21")
     return s, d * c
 
@@ -68,7 +70,7 @@ class Surd:
         b = _as_fraction(b)
         d = int(d)
         if d < 0:
-            raise ValueError(f"negative radicand {d}")
+            raise KeoError(f"negative radicand {d}")
         if b != 0 and d > 1:
             s, d = _split_square(d)
             b *= s
@@ -98,7 +100,7 @@ class Surd:
         """Exact square root of a non-negative rational."""
         r = _as_fraction(r)
         if r < 0:
-            raise ValueError(f"square root of negative rational {r}")
+            raise KeoError(f"square root of negative rational {r}")
         if r == 0:
             return cls(0)
         # sqrt(p/q) = sqrt(p*q)/q, and p*q = (s1*s2)^2 (d1*d2) with d1*d2

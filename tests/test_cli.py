@@ -505,6 +505,9 @@ def test_a_spec_parameter_given_twice_is_one_error_line(argv, error):
      "--xmax=1e-160"],
     ["defect", "--name", "BDD", "--profile", "constant", "--n", "3", "--xmin=0",
      "--xmax=1e-160"],
+    # an n that no array can hold: numpy's own ValueError, not a KeoError
+    *([command, "--name", "YY", "--profile", "lorentzian", "--n", "100000000000000000000"]
+      for command in ("assemble", "defect", "spectrum")),
 ])
 def test_non_finite_grid_and_hbar_are_domain_errors(argv):
     cp = run_cli(*argv)
@@ -591,6 +594,45 @@ def test_exact_layer_never_imports_the_numerical_layer():
                 continue
             imported |= {part for name in names for part in name.split(".")}
         assert not imported & numerical, module
+
+
+def test_every_refusal_is_a_keo_error():
+    # one refusal type: a library caller that catches KeoError, or one that
+    # catches ValueError, sees every input the package refuses
+    import ast
+
+    from pdmkeo.errors import KeoError
+
+    assert issubclass(KeoError, ValueError)
+    src = Path(__file__).parent.parent / "src" / "pdmkeo"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                assert not (isinstance(func, ast.Name) and func.id == "ValueError"), (
+                    f"{path.name}:{node.lineno}")
+
+
+def test_one_refusal_from_each_module_is_a_keo_error():
+    from fractions import Fraction
+
+    from pdmkeo import Grid, Surd, catalog, invert, make_profile, print_canonical
+    from pdmkeo import region_samples, weighted_mean
+    from pdmkeo.errors import KeoError
+
+    surd_spec = invert(Fraction(-1, 4), Fraction(1, 33), "vR")
+    refusals = {
+        "classify": (lambda: region_samples(1), "resolution must be >= 2"),
+        "discretize": (lambda: Grid(0.0, 1.0, 2), "need n >= 3 interior points"),
+        "ordering": (lambda: weighted_mean(catalog("BDD"), "beta"), "selector must be one of"),
+        "parser": (lambda: print_canonical(surd_spec), "not representable"),
+        "profiles": (lambda: make_profile("nope"), "unknown profile 'nope'"),
+        "surds": (lambda: Surd.sqrt(-1), "square root of negative rational -1"),
+    }
+    for module, (refuse, message) in refusals.items():
+        with pytest.raises(KeoError, match=message) as info:
+            refuse()
+        assert type(info.value) is KeoError, module
 
 
 def test_benchmark_only_names_live_in_discretize_alone():

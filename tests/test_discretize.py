@@ -580,6 +580,9 @@ def test_non_finite_hbar_is_refused():
             assemble_terms(s, prof, g, hbar=hbar)
         with pytest.raises(ValueError, match="hbar"):
             assemble_linear(linear_params(s), prof, g, hbar=hbar)
+        # refused like the assemblers, not NaN, -inf or an OverflowError
+        with pytest.raises(ValueError, match="hbar"):
+            effective_potential(linear_params(catalog("YY")), prof, [0.0, 0.5], hbar=hbar)
     # hbar = 0 is a valid (classical) limit
     assert not np.any(assemble_terms(s, prof, g, hbar=0.0).bands)
 
@@ -613,3 +616,23 @@ def test_exports_round_trip_and_shape():
     matrix = to_json_dict(first_order_op)["matrix"]
     assert matrix == [[17.25, -8.625, 0.0], [-10.125, 20.25, -10.125], [0.0, -12.625, 25.25]]
     assert all(type(v) is float for row in matrix for v in row)
+
+
+@pytest.mark.parametrize("n", [3, 4, 17])
+def test_every_export_layout_writes_the_dense_matrix(n):
+    # both strides, the fills that each leaves off the band (-0.0 from the
+    # assemblers, +0.0 from hamiltonian) and eta != 0's unequal off-diagonals
+    from pdmkeo.spectra import hamiltonian, make_potential
+
+    g = Grid(-1.0, 1.0, n)
+    prof = lorentzian()
+    first_order = spec([(1, -1, 0, 0)])
+    ops = [assemble_terms(s, prof, g, scheme=scheme)
+           for s in (catalog("W"), first_order) for scheme in ("staggered", "central")]
+    ops += [assemble_linear(linear_params(s), prof, g) for s in (catalog("W"), first_order)]
+    ops += [hamiltonian(op, make_potential("harmonic:k=1")) for op in ops]
+    assert {op.bandwidth for op in ops} == {1, 2}
+    for op in ops:
+        dense = op.matrix
+        assert to_csv(op) == "".join(",".join(map(repr, row)) + "\n" for row in dense.tolist())
+        assert np.asarray(to_json_dict(op)["matrix"]).tobytes() == dense.tobytes()

@@ -1,6 +1,7 @@
 """Symbolic oracles: the paper's linear form and the profiles' closed-form
 derivatives, checked by computer algebra instead of finite differences."""
 
+import functools
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 # a sympy that is absent or fails to import skips the module
 sp = pytest.importorskip("sympy", exc_type=ImportError)
 
-from pdmkeo.discretize import Grid, assemble_linear, effective_potential
+from pdmkeo.discretize import Grid, assemble_linear, effective_potential, equivalence_defect
 from pdmkeo.ordering import LinearParams, catalog, linear_params
 from pdmkeo.parser import parse
 from pdmkeo.profiles import PROFILES, lorentzian
@@ -93,6 +94,75 @@ def test_linear_form_coefficients_match_the_assembly(s):
     expected_c = exact(first_order)[:-1]
     atol = 1e-13 * max(1.0, np.max(np.abs(expected_c)))
     assert np.allclose(got_c, expected_c, rtol=1e-13, atol=atol)
+
+
+h = sp.Symbol("h", positive=True)
+# generic core coefficient b and core operand g of the staggered stencil
+_b, _g = sp.Function("b"), sp.Function("g")
+
+
+@functools.cache
+def _core_coefficients():
+    """The h^0, h^1 and h^2 coefficients of row i of the staggered core
+    d/dx b d/dx applied to g, [b(x+h/2)(g(x+h) - g(x)) - b(x-h/2)(g(x) - g(x-h))]/h^2,
+    expanded once for generic b and g."""
+    row = (_b(x + h / 2) * (_g(x + h) - _g(x)) - _b(x - h / 2) * (_g(x) - _g(x - h))) / h**2
+    series = sp.series(row, h, 0, 3).removeO().doit()
+    return [sp.expand(series.coeff(h, k)) for k in range(3)]
+
+
+def _substitute(expr, functions):
+    """expr with each generic function replaced by an expression in x."""
+    y = sp.Dummy("y")
+    for func, value in functions.items():
+        expr = expr.replace(func, sp.Lambda(y, value.subs(x, y)))
+    return expr.doit()
+
+
+def _defect_coefficients(s):
+    """c_0, c_1, c_2: the h^k coefficients of row i of (A_terms - A_linear) f
+    with hbar = 1, 1/m = u and m^s = u^-s. Row i of A_terms is
+    -(1/2) sum w a(x) core(b, c f) with a, b, c = m^alpha, m^beta, m^gamma,
+    b sampled at the midpoints x +- h/2; row i of A_linear is
+    -(1/2) core(u, f) + V_eff(xi, zeta) f. The terms path's (A + A^T)/2 is
+    left out, so s must be symmetric or mirrored term by term, and eta = 0."""
+    terms = sorted((t.w, t.alpha, t.beta, t.gamma) for t in s.terms)
+    assert terms == sorted((w, c, b, a) for w, a, b, c in terms), "not mirrored"
+    xi, zeta, eta = _symbolic(linear_params(s))
+    assert eta == 0
+    v_eff, _ = _linear_form_coefficients(xi, zeta, eta, u)
+    out = []
+    for k, core in enumerate(_core_coefficients()):
+        a_terms = sum(
+            _rational(t.w) * u ** -_rational(t.alpha)
+            * _substitute(core, {_b: u ** -_rational(t.beta), _g: u ** -_rational(t.gamma) * f})
+            for t in s.terms
+        )
+        a_linear = _substitute(core, {_b: u, _g: f})
+        out.append(-(a_terms - a_linear) / 2 - (v_eff * f if k == 0 else 0))
+    return out
+
+
+@pytest.mark.parametrize("name", ["YY", "DA(-1/2)", "W", "BDD"])
+def test_equivalence_defect_is_its_predicted_h2_coefficient(name):
+    # the defect-order tests see only the order; this one models both
+    # pathways independently of `_core_diagonals` and `_sample`, which they share
+    s = catalog(name)
+    c0, c1, c2 = _defect_coefficients(s)
+    assert sp.simplify(sp.expand(c0)) == 0
+    assert sp.simplify(sp.expand(c1)) == 0
+    # lorentzian() is 1/m = 1 + x^2
+    psi = (1 - x**2) ** 4
+    c2 = sp.simplify(sp.expand(_substitute(c2, {u.func: 1 + x**2, f.func: psi})))
+    c2_at, psi_at = (sp.lambdify(x, e, "numpy") for e in (c2, psi))
+    for n, tol in ((250, 5e-4), (1000, 5e-5)):
+        g = Grid(-1.0, 1.0, n)
+        defect = equivalence_defect(s, lorentzian(), g, psi_at)
+        if name == "BDD":
+            assert c2 == 0 and defect == 0.0
+            continue
+        predicted = g.h**2 * np.linalg.norm(c2_at(g.points)) / np.linalg.norm(psi_at(g.points))
+        assert abs(defect / predicted - 1) <= tol, (n, defect, predicted)
 
 
 def _closed_form(name, p):
