@@ -30,14 +30,23 @@ refuses an eta != 0 ordering before assembly, naming the Hermitian one it
 is similar to, and `solve` refuses a non-symmetric operator as
 NotSymmetric. Dual-pair spectra are computed and reported side by side
 without asserting equality.
+
+The two LAPACK routines come from scipy's LAPACK extension, loaded by
+path, not through the scipy.linalg package, which takes about ten times
+as long to import.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
 import operator
+import os
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from importlib import machinery
 from typing import Callable, Mapping
 
 import numpy as np
@@ -130,16 +139,40 @@ def hamiltonian(keo: AssembledOperator, potential: PotentialProfile) -> Assemble
 _BRACKET = 2.0**-40
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK extension, `scipy.linalg._flapack`, loaded by path
+    without running the scipy.linalg package's __init__.
+
+    `import scipy` still runs scipy's own set-up. A loaded extension is
+    returned as it is; otherwise its sys.modules entry is dropped after
+    loading, so that a later `import scipy.linalg` runs as it would have,
+    and gets the same routine objects from the interpreter's cache of
+    extension modules."""
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    path = os.path.join(scipy.__path__[0], "linalg")
+    finder = machinery.FileFinder(path, (machinery.ExtensionFileLoader,
+                                         machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"no {name} extension in {path}", name=name, path=path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module
+
+
 def _eigenvectors(d: np.ndarray, e: np.ndarray, k: int):
     """(rows, bracket): eigenvectors of the k lowest levels of the
     tridiagonal (d, e), one per row, grouped by LAPACK block, and the width
     `?stebz` bracketed them to, `_BRACKET` or, on the next rung, 0.0 (to
     rounding), before `?stein` iterated from the brackets."""
-    # imported here: scipy.linalg is most of the package's import time, and
-    # only the eigensolve needs it. The dotted `from scipy.linalg.lapack
-    # import ...` loads the same modules but measured about 10 ms slower on
-    # a fresh interpreter's first solve
-    from scipy.linalg import lapack
+    # by path: importing the scipy.linalg package around it would take ten times as long
+    lapack = _lapack()
 
     for bracket in (_BRACKET, 0.0):
         # range 'I' (levels 1 .. k) and order 'B' (by block, ascending in each)

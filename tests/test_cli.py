@@ -541,8 +541,8 @@ def test_parse_error_diagnostic_includes_position():
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg is most of the package's import time and only the
-    # eigensolve needs it; every other subcommand should not pay for it
+    # the scipy.linalg package takes longer to import than all the rest, and
+    # nothing needs it: the eigensolve loads only its LAPACK extension
     cp = subprocess.run(
         [sys.executable, "-c", "import sys, pdmkeo; print('scipy.linalg' in sys.modules)"],
         capture_output=True,
@@ -572,6 +572,50 @@ def test_import_leaves_scipy_linalg_unloaded():
         cp = subprocess.run([sys.executable, "-c", script + report], capture_output=True, text=True)
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.strip() == "[]", script
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--name", "YY", "--profile", "lorentzian", "--potential", "harmonic:k=1",
+     "--n", "50", "--k", "3"],
+    ["dualpair", "--xi", "-1/4", "--theta", "1/16", "--profile", "lorentzian", "--n", "50",
+     "--k", "2"],
+], ids=lambda argv: argv[0])
+def test_solves_load_lapack_without_scipy_linalg(argv):
+    # the eigensolve loads scipy's LAPACK extension by path, so the
+    # scipy.linalg package stays unloaded; imported after the solve or
+    # before it, the package holds the same routines and stdout is the same
+    solve = (
+        "import contextlib, io, json, sys\n"
+        "from pdmkeo import cli, spectra\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+    )
+    after = solve + (
+        "report = {'linalg_loaded': 'scipy.linalg' in sys.modules}\n"
+        "import scipy.linalg\n"
+        "lapack = spectra._lapack()\n"
+        "report['same_routines'] = (scipy.linalg.lapack.dstebz is lapack.dstebz\n"
+        "                           and scipy.linalg.lapack.dstein is lapack.dstein)\n"
+        "report['flapack_works'] = (\n"
+        "    scipy.linalg._flapack.dstebz is lapack.dstebz\n"
+        "    and scipy.linalg.eigvalsh_tridiagonal([2.0, 2.0], [1.0]).tolist() == [1.0, 3.0])\n"
+    )
+    before = "import scipy.linalg\n" + solve + (
+        "report = {'extension': spectra._lapack() is sys.modules['scipy.linalg._flapack']}\n"
+    )
+    outputs = []
+    for script, expected in (
+        (after, {"linalg_loaded": False, "same_routines": True, "flapack_works": True}),
+        (before, {"extension": True}),
+    ):
+        cp = subprocess.run([sys.executable, "-c", script + "report['stdout'] = out.getvalue()\n"
+                             "print(json.dumps(report))"], capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        report = json.loads(cp.stdout)
+        outputs.append(report.pop("stdout"))
+        assert report == expected
+    assert outputs == [run_cli(*argv).stdout] * 2
 
 
 def test_exact_layer_never_imports_the_numerical_layer():

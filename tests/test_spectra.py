@@ -518,8 +518,10 @@ def _failing(routine, tol=None):
 
 
 def test_a_lapack_failure_at_the_bracket_bisects_to_rounding(monkeypatch):
-    from scipy.linalg import lapack
+    from pdmkeo.spectra import _lapack
 
+    # the solver reads both routines from the extension module it loaded
+    lapack = _lapack()
     h = hamiltonian(assemble_terms(catalog("YY"), lorentzian(m0=1, lam=1), Grid(-1.0, 1.0, 200)),
                     harmonic())
     expected = solve(h, 5)
@@ -540,6 +542,23 @@ def test_a_lapack_failure_at_the_bracket_bisects_to_rounding(monkeypatch):
     monkeypatch.setattr(lapack, "dstebz", _failing(lapack.dstebz))
     with pytest.raises(np.linalg.LinAlgError, match=r"LAPACK \?stebz failed \(info = 1\)"):
         solve(h, 5)
+
+
+def test_a_missing_lapack_extension_is_an_import_error(monkeypatch, tmp_path):
+    import re
+    import sys
+
+    from pdmkeo.spectra import _lapack
+
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    _lapack.cache_clear()
+    try:
+        message = f"no scipy.linalg._flapack extension in {tmp_path / 'linalg'}"
+        with pytest.raises(ImportError, match=re.escape(message)):
+            _lapack()
+    finally:
+        _lapack.cache_clear()
 
 
 def test_provenance_records_the_bracket_and_the_largest_residual():
@@ -599,7 +618,7 @@ def test_no_dense_matrix_outside_the_export():
 
     prof = lorentzian(m0=1, lam=1)
     solve(hamiltonian(assemble_terms(catalog("YY"), prof, Grid(-1.0, 1.0, 20)),
-                      zero_potential()), 1)  # loads scipy.linalg outside the trace
+                      zero_potential()), 1)  # loads LAPACK outside the trace
     g = Grid(-1.0, 1.0, 3000)
     dense_bytes = g.n * g.n * 8
     tracemalloc.start()
